@@ -41,7 +41,7 @@ from .errors import (AuthError, DegenerateError, DigestError, IoError,
                      KeyMismatchError, ModelVaultError, PaddingError)
 from .key_client import fetch_key
 from .key_service import KeyService, ServiceConfig, issue_token
-from .sealer import seal_file
+from .sealer import _atomic_write, seal_file
 from .unsealer import unseal, unseal_parallel
 
 # Errors that mean "the cryptography said no", not "you held it wrong".
@@ -154,7 +154,7 @@ def cmd_unseal(args) -> int:
     try:
         if args.out:
             out = Path(args.out)
-            out.write_bytes(blob.to_bytes())
+            _atomic_write(out, blob.data)
             result["out"] = str(out)
     finally:
         blob.release()

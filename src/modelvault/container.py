@@ -92,7 +92,7 @@ class ContainerHeader:
 class SealedContainer:
     header: ContainerHeader
     chunk_table: tuple[ChunkEntry, ...]
-    payload: bytes
+    payload: bytes | memoryview  # decode() hands back a view over its input
 
 
 def chunk_count_for(plaintext_len: int, chunk_size: int) -> int:
@@ -154,8 +154,12 @@ def _validate(container: SealedContainer) -> None:
         )
 
 
-def encode(container: SealedContainer) -> bytes:
-    """Serialize a container to its bit-exact wire form."""
+def encode(container: SealedContainer) -> bytearray:
+    """Serialize a container to its bit-exact wire form, in one new buffer.
+
+    The buffer is mutable so that a sealer can frame the plaintext and
+    then encrypt the payload region in place.
+    """
     _validate(container)
     h = container.header
     body = _HEADER_BODY.pack(
@@ -174,14 +178,15 @@ def encode(container: SealedContainer) -> bytes:
     for entry in container.chunk_table:
         parts.append(_CHUNK_ENTRY.pack(entry.ciphertext_offset, entry.plaintext_len))
     parts.append(container.payload)
-    return b"".join(parts)
+    return bytearray().join(parts)
 
 
 def decode(data: bytes) -> SealedContainer:
     """Parse and fully validate a serialized container.
 
-    Raised errors name the failing region: MagicError, VersionError,
-    CrcError, TruncationError, or InvariantError.
+    The payload is a memoryview over ``data``, not a copy of the
+    ciphertext. Raised errors name the failing region: MagicError,
+    VersionError, CrcError, TruncationError, or InvariantError.
     """
     if len(data) < HEADER_SIZE:
         raise TruncationError(f"header needs {HEADER_SIZE} bytes, got {len(data)}")
@@ -210,7 +215,7 @@ def decode(data: bytes) -> SealedContainer:
         ChunkEntry(*_CHUNK_ENTRY.unpack_from(data, HEADER_SIZE + i * CHUNK_ENTRY_SIZE))
         for i in range(chunk_count)
     )
-    payload = data[table_end:]
+    payload = memoryview(data)[table_end:]
     if len(payload) < plaintext_len:
         raise TruncationError(f"payload is {len(payload)} bytes, header declares {plaintext_len}")
 

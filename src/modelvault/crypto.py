@@ -10,8 +10,8 @@ ECB leaks equal-block patterns and should only be used where byte-level
 compatibility with the raw ``.dat`` layout matters; see the README's
 security notes.
 
-All functions are pure: no hidden randomness, no shared state, safe to
-call concurrently.
+No function holds hidden randomness or shared state, so all are safe to
+call concurrently; ctr_crypt with ``out`` writes only to that buffer.
 """
 
 from __future__ import annotations
@@ -184,12 +184,17 @@ def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> bytes:
     return _pkcs7_unpad(dec.update(ciphertext) + dec.finalize())
 
 
-def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int) -> bytes:
+def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int,
+              out: bytearray | memoryview | None = None) -> bytes | None:
     """XOR ``data`` with the AES-256 counter stream for one chunk.
 
     The counter block is ``file_nonce || chunk_index (4 bytes BE) ||
     block_counter (4 bytes BE, from 0)``, so each (nonce, index) pair names
     an independent keystream and the function is its own inverse.
+
+    Given ``out``, a writable buffer exactly as long as ``data`` (it may be
+    ``data`` itself, to work in place), the result is written there with
+    no intermediate copy and None is returned.
     """
     if len(file_nonce) != NONCE_BYTES:
         raise LengthError(f"file nonce must be {NONCE_BYTES} bytes, got {len(file_nonce)}")
@@ -197,6 +202,12 @@ def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int
         raise RangeError(f"chunk index must be below 2**32, got {chunk_index}")
     if len(data) >= _MAX_CTR_LEN:
         raise RangeError("chunk data must be below 2**36 bytes")
+    if out is not None and len(out) != len(data):
+        raise LengthError(f"output must be {len(data)} bytes, got {len(out)}")
     counter0 = file_nonce + chunk_index.to_bytes(4, "big") + bytes(4)
     enc = Cipher(_aes(key), modes.CTR(counter0)).encryptor()
-    return enc.update(data) + enc.finalize()
+    if out is None:
+        return enc.update(data) + enc.finalize()
+    enc.update_into(data, out)
+    enc.finalize()
+    return None

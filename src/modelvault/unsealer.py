@@ -2,12 +2,18 @@
 
 Nothing in this module writes to storage; the decrypted model only ever
 exists as an in-process buffer that the caller can hand to an ML runtime
-and explicitly wipe afterwards. Three entry points share one pipeline:
+and explicitly wipe afterwards. Three entry points share one chunk
+engine, ``_decrypt_chunks``:
 
 * unseal            - synchronous, single-threaded
 * unseal_parallel   - synchronous, chunks fan out over a worker pool
+                      whenever more than one worker can be used
 * unseal_background - returns at once; workers decrypt while progress and
                       completion callbacks fire, and a handle can cancel
+
+Each chunk is decrypted from a view of the sealed bytes straight into
+the blob's buffer, and the digest that verifies the plaintext becomes the
+blob's digest: plaintext is written once and hashed once.
 
 Container payloads are checked twice: the key fingerprint before any
 ciphertext is touched (wrong key fails fast, without decrypting), and the
@@ -15,8 +21,10 @@ plaintext digest after assembly (corruption fails loud). The raw ``.dat``
 layout has no metadata, so there a wrong key only surfaces as a padding
 failure, exactly like the pipeline it is byte-compatible with.
 
-Zeroization caveat: release() wipes the blob's own buffer. CPython may
-hold other transient copies (e.g. immutable bytes from slicing); treat the
+Zeroization caveat: release() wipes the blob's own buffer. On the
+container path no per-chunk plaintext exists outside it, and to_bytes()
+is the only copy, which is the caller's to manage. The raw path goes
+through immutable bytes from the cipher that no wipe reaches; treat the
 wipe as hygiene, not as a hard memory guarantee.
 """
 
@@ -24,31 +32,26 @@ from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import FIRST_COMPLETED, Future, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .container import MAGIC, SealedContainer, SealedFormat, decode
 from .crypto import CipherMode, KeyMaterial, ctr_crypt, ecb_decrypt, sha256
-from .errors import (
-    CancelledError,
-    DigestError,
-    KeyMismatchError,
-    ModeError,
-    RangeError,
-)
+from .errors import CancelledError, DigestError, KeyMismatchError, ModeError, RangeError
 
 
 class ModelBlob:
     """Decrypted model bytes held in memory, plus their SHA-256 digest.
 
     The digest check stands in for "the model loads": feed ``data`` to
-    your interpreter, then call release() to zero the buffer.
+    your interpreter, then call release() to zero the buffer. Pass
+    ``digest`` when it is already known, so the buffer is hashed once.
     """
 
-    def __init__(self, buf: bytearray, source_mode: CipherMode):
+    def __init__(self, buf: bytearray, source_mode: CipherMode, digest: bytes | None = None):
         self._buf = buf
-        self.digest = sha256(buf)
+        self.digest = sha256(buf) if digest is None else digest
         self.source_mode = source_mode
         self._released = False
 
@@ -90,14 +93,21 @@ class UnsealProgress:
 ProgressSink = Callable[[UnsealProgress], None]
 DoneSink = Callable[[Optional[ModelBlob], Optional[Exception]], None]
 
+_ZEROS = memoryview(bytes(64 * 1024))
+
 
 def _wipe(buf: bytearray) -> None:
-    buf[:] = bytes(len(buf))
+    # Block by block, so wiping allocates nothing the size of the plaintext.
+    view = memoryview(buf)
+    for start in range(0, len(view), len(_ZEROS)):
+        piece = view[start : start + len(_ZEROS)]
+        piece[:] = _ZEROS[: len(piece)]
 
 
-def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: bytes) -> bytes:
+def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memoryview,
+                   out: memoryview) -> None:
     # Module-level indirection so tests can count or slow chunk decryption.
-    return ctr_crypt(ciphertext, key, nonce, index)
+    ctr_crypt(ciphertext, key, nonce, index, out=out)
 
 
 def _open_container(sealed: bytes, key: KeyMaterial) -> SealedContainer:
@@ -120,11 +130,76 @@ def _open_container(sealed: bytes, key: KeyMaterial) -> SealedContainer:
     return parsed
 
 
-def _finish_container(buf: bytearray, parsed: SealedContainer) -> ModelBlob:
-    if sha256(buf) != parsed.header.plaintext_digest:
+def _decrypt_chunks(
+    parsed: SealedContainer,
+    key: KeyMaterial,
+    buf: bytearray,
+    workers: int,
+    on_chunk: ProgressSink | None,
+    cancelled: Callable[[], bool] | None,
+) -> None:
+    """Decrypt every chunk of ``parsed`` into its own slice of ``buf``.
+
+    Runs inline when only one worker can be used, otherwise over a thread
+    pool. After each chunk lands, on the calling thread, ``cancelled`` is
+    polled (true raises CancelledError) and ``on_chunk`` gets a progress
+    event. On any exit the pool has drained: chunks not yet started are
+    dropped and in-flight chunks have finished.
+    """
+    nonce = parsed.header.file_nonce
+    payload, out = memoryview(parsed.payload), memoryview(buf)
+    total = parsed.header.chunk_count
+
+    def work(index: int) -> int:
+        entry = parsed.chunk_table[index]
+        span = slice(entry.ciphertext_offset, entry.ciphertext_offset + entry.plaintext_len)
+        _decrypt_chunk(key, nonce, index, payload[span], out[span])
+        return entry.plaintext_len
+
+    pool_size = min(workers, total)
+    pool = ThreadPoolExecutor(pool_size, thread_name_prefix="mvc-chunk") if pool_size > 1 else None
+    try:
+        if pool is None:
+            landed = map(work, range(total))
+        else:
+            futures = [pool.submit(work, index) for index in range(total)]
+            landed = (future.result() for future in as_completed(futures))
+        chunks_done = bytes_done = 0
+        for nbytes in landed:
+            if cancelled is not None and cancelled():
+                raise CancelledError("cancelled while decrypting")
+            chunks_done += 1
+            bytes_done += nbytes
+            if on_chunk is not None:
+                on_chunk(UnsealProgress(chunks_done, total, bytes_done))
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _unseal_container(
+    sealed: bytes,
+    key: KeyMaterial,
+    workers: int | None,
+    on_chunk: ProgressSink | None = None,
+    cancelled: Callable[[], bool] | None = None,
+) -> ModelBlob:
+    """Open, decrypt and verify a container; the buffer is wiped on any failure."""
+    parsed = _open_container(sealed, key)
+    if workers is None:
+        workers = default_workers(parsed.header.chunk_count)
+    if workers < 1:
+        raise RangeError(f"workers must be at least 1, got {workers}")
+    buf = bytearray(parsed.header.plaintext_len)
+    try:
+        _decrypt_chunks(parsed, key, buf, workers, on_chunk, cancelled)
+        digest = sha256(buf)
+        if digest != parsed.header.plaintext_digest:
+            raise DigestError("decrypted plaintext does not match the container digest")
+    except BaseException:
         _wipe(buf)
-        raise DigestError("decrypted plaintext does not match the container digest")
-    return ModelBlob(buf, CipherMode.CHUNKED_CTR)
+        raise
+    return ModelBlob(buf, CipherMode.CHUNKED_CTR, digest)
 
 
 def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> ModelBlob:
@@ -135,19 +210,13 @@ def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> Mo
     """
     if declared_format is SealedFormat.RAW_DAT:
         return ModelBlob(bytearray(ecb_decrypt(sealed, key)), CipherMode.RAW_ECB_PKCS7)
-    parsed = _open_container(sealed, key)
-    nonce = parsed.header.file_nonce
-    payload = memoryview(parsed.payload)
-    buf = bytearray(parsed.header.plaintext_len)
-    for index, entry in enumerate(parsed.chunk_table):
-        start = entry.ciphertext_offset
-        chunk = bytes(payload[start : start + entry.plaintext_len])
-        buf[start : start + entry.plaintext_len] = _decrypt_chunk(key, nonce, index, chunk)
-    return _finish_container(buf, parsed)
+    return _unseal_container(sealed, key, workers=1)
 
 
 def default_workers(chunk_count: int) -> int:
-    """Worker-count default: available processors, capped at chunk count."""
+    """Worker-count default: processors this process may run on, capped at chunk count."""
+    if hasattr(os, "sched_getaffinity"):
+        return max(1, min(len(os.sched_getaffinity(0)), chunk_count))
     return max(1, min(os.cpu_count() or 1, chunk_count))
 
 
@@ -155,29 +224,11 @@ def unseal_parallel(sealed: bytes, key: KeyMaterial, workers: int | None = None)
     """Decrypt a container with chunks spread over a thread pool.
 
     Output is byte-identical to unseal() for any worker count; surplus
-    workers simply idle. Raw artifacts are rejected with ModeError (the
-    padding chain cannot be split safely).
+    workers are never started, and a single usable worker runs inline
+    with no pool. Raw artifacts are rejected with ModeError (the padding
+    chain cannot be split safely).
     """
-    parsed = _open_container(sealed, key)
-    if workers is None:
-        workers = default_workers(parsed.header.chunk_count)
-    if workers < 1:
-        raise RangeError(f"workers must be at least 1, got {workers}")
-    nonce = parsed.header.file_nonce
-    payload = memoryview(parsed.payload)
-    buf = bytearray(parsed.header.plaintext_len)
-
-    def work(index: int) -> None:
-        entry = parsed.chunk_table[index]
-        start = entry.ciphertext_offset
-        chunk = bytes(payload[start : start + entry.plaintext_len])
-        buf[start : start + entry.plaintext_len] = _decrypt_chunk(key, nonce, index, chunk)
-
-    pool_size = min(workers, parsed.header.chunk_count)
-    with ThreadPoolExecutor(max_workers=pool_size) as pool:
-        for future in [pool.submit(work, i) for i in range(parsed.header.chunk_count)]:
-            future.result()
-    return _finish_container(buf, parsed)
+    return _unseal_container(sealed, key, workers)
 
 
 class UnsealHandle:
@@ -232,27 +283,20 @@ def unseal_background(
     success on_done receives ``(blob, None)``.
     """
     handle = UnsealHandle()
-    runner = threading.Thread(
-        target=_run_background,
-        args=(sealed, key, workers, on_progress, on_done, handle),
-        name="mvc-unseal",
-        daemon=True,
-    )
-    runner.start()
-    return handle
 
-
-def _run_background(
-    sealed: bytes,
-    key: KeyMaterial,
-    workers: int | None,
-    on_progress: ProgressSink | None,
-    on_done: DoneSink | None,
-    handle: UnsealHandle,
-) -> None:
-    buf: bytearray | None = None
-
-    def deliver(state: str, blob: ModelBlob | None, error: Exception | None) -> None:
+    def run() -> None:
+        blob: ModelBlob | None = None
+        error: Exception | None = None
+        try:
+            if handle._cancel_requested.is_set():
+                raise CancelledError("cancelled before decryption started")
+            blob = _unseal_container(sealed, key, workers, on_progress,
+                                     handle._cancel_requested.is_set)
+            state = "done"
+        except CancelledError as exc:
+            state, error = "cancelled", exc
+        except Exception as exc:
+            state, error = "failed", exc
         if not handle._settle(state):
             return
         handle._done_event.set()
@@ -262,53 +306,5 @@ def _run_background(
             except Exception:
                 pass  # a completion sink that throws has nowhere better to go
 
-    try:
-        if handle._cancel_requested.is_set():
-            raise CancelledError("cancelled before decryption started")
-        parsed = _open_container(sealed, key)
-        if workers is None:
-            workers = default_workers(parsed.header.chunk_count)
-        if workers < 1:
-            raise RangeError(f"workers must be at least 1, got {workers}")
-
-        nonce = parsed.header.file_nonce
-        payload = memoryview(parsed.payload)
-        total = parsed.header.chunk_count
-        buf = bytearray(parsed.header.plaintext_len)
-
-        def work(index: int) -> int:
-            entry = parsed.chunk_table[index]
-            start = entry.ciphertext_offset
-            chunk = bytes(payload[start : start + entry.plaintext_len])
-            buf[start : start + entry.plaintext_len] = _decrypt_chunk(key, nonce, index, chunk)
-            return entry.plaintext_len
-
-        chunks_done = 0
-        bytes_done = 0
-        pool = ThreadPoolExecutor(max_workers=min(workers, total), thread_name_prefix="mvc-chunk")
-        try:
-            pending: set[Future] = {pool.submit(work, i) for i in range(total)}
-            while pending:
-                finished, pending = wait(pending, return_when=FIRST_COMPLETED)
-                if handle._cancel_requested.is_set():
-                    raise CancelledError("cancelled while decrypting")
-                for future in finished:
-                    bytes_done += future.result()
-                    chunks_done += 1
-                    if on_progress is not None:
-                        on_progress(UnsealProgress(chunks_done, total, bytes_done))
-        finally:
-            pool.shutdown(wait=True, cancel_futures=True)
-
-        if handle._cancel_requested.is_set():
-            raise CancelledError("cancelled while decrypting")
-        blob = _finish_container(buf, parsed)
-        deliver("done", blob, None)
-    except CancelledError as exc:
-        if buf is not None:
-            _wipe(buf)
-        deliver("cancelled", None, exc)
-    except Exception as exc:
-        if buf is not None:
-            _wipe(buf)
-        deliver("failed", None, exc)
+    threading.Thread(target=run, name="mvc-unseal", daemon=True).start()
+    return handle

@@ -16,6 +16,7 @@ from modelvault.cli import main
 from modelvault.container import decode
 from modelvault.crypto import derive_key, load_key_hex
 from modelvault.key_service import KeyService, ServiceConfig, issue_token
+from modelvault.unsealer import ModelBlob
 
 PASSPHRASE = "0123456789abcdef"
 KEY_HEX = bytes(range(32)).hex()
@@ -196,6 +197,20 @@ class TestUnsealCli:
         assert code == 0
         assert target.read_bytes() == MODEL
         assert json.loads(out)["out"] == str(target)
+
+    def test_out_is_atomic_and_copy_free(self, capsys, sealed_file, tmp_path,
+                                         monkeypatch):
+        def no_copy(blob):
+            raise AssertionError("--out must write from the blob's own buffer")
+
+        monkeypatch.setattr(ModelBlob, "to_bytes", no_copy)
+        target = tmp_path / "plain.bin"
+        code, _, _ = run(capsys, "unseal", str(sealed_file),
+                         "--out", str(target), "--allow-plaintext-output",
+                         "--passphrase", PASSPHRASE)
+        assert code == 0
+        assert target.read_bytes() == MODEL
+        assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
 
     def test_wrong_key_is_crypto_error(self, capsys, sealed_file):
         code, _, err = run(capsys, "unseal", str(sealed_file),

@@ -278,6 +278,28 @@ class TestCtr:
         with pytest.raises(RangeError):
             ctr_crypt(b"x", fips_key, bytes(8), index)
 
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1000])
+    def test_out_receives_exactly_its_slice(self, fips_key, n):
+        # Written into a slice of a larger buffer: exactly n bytes change,
+        # including an empty and a short tail chunk.
+        data = (bytes(range(256)) * 4)[:n]
+        buf = bytearray(b"\xee" * (n + 32))
+        assert ctr_crypt(data, fips_key, bytes(8), 5,
+                         out=memoryview(buf)[16:16 + n]) is None
+        assert buf[16:16 + n] == ctr_crypt(data, fips_key, bytes(8), 5)
+        assert buf[:16] == buf[16 + n:] == b"\xee" * 16
+
+    def test_out_may_be_the_input(self, fips_key):
+        data = bytes(range(256)) * 5
+        buf = bytearray(data)
+        ctr_crypt(buf, fips_key, bytes(8), 2, out=buf)
+        assert buf == ctr_crypt(data, fips_key, bytes(8), 2)
+
+    def test_out_length_enforced(self, fips_key):
+        for n in (0, 15, 17):
+            with pytest.raises(LengthError):
+                ctr_crypt(bytes(16), fips_key, bytes(8), 0, out=bytearray(n))
+
 
 class TestCipherMode:
     def test_tokens(self):

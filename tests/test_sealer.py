@@ -6,8 +6,9 @@ import os
 import pytest
 
 import aes_reference as ref
+import modelvault.sealer as sealer_mod
 from modelvault.container import HEADER_SIZE, decode
-from modelvault.crypto import CipherMode, ecb_decrypt
+from modelvault.crypto import CipherMode, ecb_decrypt, sha256
 from modelvault.errors import IoError, RangeError
 from modelvault.sealer import MIN_CHUNK_SIZE, seal, seal_file
 from conftest import FIPS_KEY_BYTES
@@ -58,6 +59,19 @@ class TestSealContainer:
                 parsed.payload[e.ciphertext_offset:e.ciphertext_offset + e.plaintext_len])
             for index, e in enumerate(parsed.chunk_table))
         assert recovered == MODEL
+
+    @pytest.mark.parametrize("model,digest_hex", [
+        (MODEL, "9ee942d2b5f732b5b6e5209e57b4b81b8ff82ca5b6a6a87eec72457250e346d6"),
+        (b"", "a02e1bf2ec6d710f021af47cb037908d4ffff658c6962f03d1be8a9ed032d6f5"),
+    ])
+    def test_bit_exact_for_a_fixed_nonce(self, fips_key, monkeypatch, model,
+                                         digest_hex):
+        # Pinned from the earlier construction (encrypt each chunk, then
+        # frame the ciphertext): sealing in place must match it bit for bit.
+        monkeypatch.setattr(sealer_mod.secrets, "token_bytes",
+                            lambda n: bytes(range(1, n + 1)))
+        sealed, _ = seal(model, fips_key, chunk_size=4096)
+        assert sha256(sealed).hex() == digest_hex
 
     def test_nonce_is_fresh_per_seal(self, fips_key):
         # Same input, same key: the payloads must still differ.

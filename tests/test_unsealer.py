@@ -1,17 +1,25 @@
 """Unit tests for in-memory unsealing: sync, parallel, and background."""
 
+import struct
+import threading
 import time
+import tracemalloc
+import zlib
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import modelvault.unsealer as unsealer_mod
-from modelvault.container import SealedFormat, decode
-from modelvault.crypto import CipherMode, sha256
+from modelvault.container import HEADER_SIZE, SealedFormat, decode
+from modelvault.crypto import CipherMode, KeyMaterial, sha256
 from modelvault.errors import (CancelledError, DigestError, KeyMismatchError,
-                               ModeError, PaddingError, RangeError)
+                               ModelVaultError, ModeError, PaddingError,
+                               RangeError)
 from modelvault.sealer import seal
-from modelvault.unsealer import (default_workers, unseal,
+from modelvault.unsealer import (ModelBlob, default_workers, unseal,
                                  unseal_background, unseal_parallel)
+from conftest import FIPS_KEY_BYTES
 
 MODEL = bytes((i * 31 + 7) % 256 for i in range(10240))
 
@@ -33,11 +41,11 @@ def counting_decrypt(monkeypatch, delay=0.0):
     calls = []
     real = unsealer_mod._decrypt_chunk
 
-    def wrapper(key, nonce, index, ciphertext):
+    def wrapper(*args):  # (key, nonce, index, ciphertext, out)
         if delay:
             time.sleep(delay)
-        calls.append(index)
-        return real(key, nonce, index, ciphertext)
+        calls.append(args[2])
+        return real(*args)
 
     monkeypatch.setattr(unsealer_mod, "_decrypt_chunk", wrapper)
     return calls
@@ -332,3 +340,96 @@ class TestUnsealBackground:
         assert handle.wait(10)
         assert handle.state() == "failed"
         assert isinstance(sink.done[0][1], RangeError)
+
+
+def _unseal_in_background(sealed, key):
+    finished = threading.Event()
+    outcome = []
+
+    def on_done(blob, error):
+        outcome.append((blob, error))
+        finished.set()
+
+    unseal_background(sealed, key, workers=2, on_done=on_done)
+    assert finished.wait(10)
+    [(blob, error)] = outcome
+    assert error is None
+    return blob
+
+
+CONTAINER_PATHS = {
+    "sync": lambda sealed, key: unseal(sealed, key, SealedFormat.CONTAINER),
+    "parallel": lambda sealed, key: unseal_parallel(sealed, key, workers=2),
+    "background": _unseal_in_background,
+}
+
+
+class TestSingleHashPass:
+    @pytest.mark.parametrize("path", sorted(CONTAINER_PATHS))
+    def test_plaintext_hashed_once(self, path, container_bytes, fips_key,
+                                   monkeypatch):
+        hashed = []
+        real = unsealer_mod.sha256
+
+        def counting_sha256(data):
+            hashed.append(len(data))
+            return real(data)
+
+        monkeypatch.setattr(unsealer_mod, "sha256", counting_sha256)
+        blob = CONTAINER_PATHS[path](container_bytes, fips_key)
+        assert hashed == [len(MODEL)]
+        assert blob.digest == sha256(blob.data) == sha256(MODEL)
+
+
+class TestReleaseInPlace:
+    def test_wipe_allocates_no_plaintext_sized_buffer(self):
+        size = 2 * 1024 * 1024 + 1000  # whole 64 KiB blocks plus a tail
+        blob = ModelBlob(bytearray(b"\x5a" * size), CipherMode.CHUNKED_CTR)
+        view = blob.data
+        tracemalloc.start()
+        try:
+            blob.release()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert view.tobytes() == bytes(size)
+        assert peak < 0.1 * size
+
+
+def _mutate(sealed: bytes, mutations) -> bytes:
+    data = bytearray(sealed)
+    for kind, position, bit in mutations:
+        if kind == "truncate":
+            del data[position % (len(data) + 1):]
+        elif data:
+            if kind == "flip":
+                data[position % len(data)] ^= 1 << bit
+            else:  # flip a header field and re-fix the CRC so the header check passes
+                data[position % min(len(data), HEADER_SIZE - 4)] ^= 1 << bit
+                if len(data) >= HEADER_SIZE:
+                    data[HEADER_SIZE - 4:HEADER_SIZE] = struct.pack(
+                        "<I", zlib.crc32(data[:HEADER_SIZE - 4]))
+    return bytes(data)
+
+
+FUZZ_KEY = KeyMaterial(FIPS_KEY_BYTES)
+FUZZ_SEALED = seal(MODEL, FUZZ_KEY, chunk_size=4096)[0]
+MUTATION = st.tuples(st.sampled_from(["flip", "truncate", "flip-refix-crc"]),
+                     st.integers(min_value=0, max_value=len(FUZZ_SEALED)),
+                     st.integers(min_value=0, max_value=7))
+
+
+class TestMutatedArtifacts:
+    @settings(max_examples=300, deadline=None)
+    @given(mutations=st.lists(MUTATION, min_size=1, max_size=3))
+    def test_only_taxonomy_errors(self, mutations):
+        mutated = _mutate(FUZZ_SEALED, mutations)
+        try:
+            decode(mutated)
+        except ModelVaultError:
+            pass
+        try:
+            blob = unseal(mutated, FUZZ_KEY, SealedFormat.CONTAINER)
+        except ModelVaultError:
+            return
+        assert blob.to_bytes() == MODEL  # anything accepted is the sealed model
