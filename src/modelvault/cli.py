@@ -27,6 +27,7 @@ import argparse
 import json
 import os
 import secrets
+import stat
 import string
 import sys
 import time
@@ -111,6 +112,30 @@ def _read_sealed(path: Path) -> bytes:
                       path=str(path)) from exc
 
 
+def _write_plaintext(path: Path, data: memoryview) -> None:
+    """Write ``data`` to ``path`` without a partial-file window where possible.
+
+    A new or regular file is replaced atomically and keeps the permission
+    bits of the file it replaces (a new one is created 0600). Anything
+    else, such as a FIFO, a device or a symlink, is written through as it
+    stands, since renaming over it would replace the node itself.
+    """
+    try:
+        old = os.lstat(path)
+    except FileNotFoundError:
+        old = None
+    if old is None or stat.S_ISREG(old.st_mode):
+        _atomic_write(path, data)
+        if old is not None:
+            os.chmod(path, stat.S_IMODE(old.st_mode))
+        return
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}", path=str(path)) from exc
+
+
 def cmd_seal(args) -> int:
     key = _resolve_key(args)
     mode = CipherMode.from_token(args.mode)
@@ -154,7 +179,7 @@ def cmd_unseal(args) -> int:
     try:
         if args.out:
             out = Path(args.out)
-            _atomic_write(out, blob.data)
+            _write_plaintext(out, blob.data)
             result["out"] = str(out)
     finally:
         blob.release()

@@ -12,8 +12,8 @@ engine, ``_decrypt_chunks``:
                       completion callbacks fire, and a handle can cancel
 
 Each chunk is decrypted from a view of the sealed bytes straight into
-the blob's buffer, and the digest that verifies the plaintext becomes the
-blob's digest: plaintext is written once and hashed once.
+the blob's buffer, and the blob's own digest is the one checked against
+the container: plaintext is written once and hashed once.
 
 Container payloads are checked twice: the key fingerprint before any
 ciphertext is touched (wrong key fails fast, without decrypting), and the
@@ -45,13 +45,12 @@ class ModelBlob:
     """Decrypted model bytes held in memory, plus their SHA-256 digest.
 
     The digest check stands in for "the model loads": feed ``data`` to
-    your interpreter, then call release() to zero the buffer. Pass
-    ``digest`` when it is already known, so the buffer is hashed once.
+    your interpreter, then call release() to zero the buffer.
     """
 
-    def __init__(self, buf: bytearray, source_mode: CipherMode, digest: bytes | None = None):
+    def __init__(self, buf: bytearray, source_mode: CipherMode):
         self._buf = buf
-        self.digest = sha256(buf) if digest is None else digest
+        self.digest = sha256(buf)
         self.source_mode = source_mode
         self._released = False
 
@@ -193,13 +192,13 @@ def _unseal_container(
     buf = bytearray(parsed.header.plaintext_len)
     try:
         _decrypt_chunks(parsed, key, buf, workers, on_chunk, cancelled)
-        digest = sha256(buf)
-        if digest != parsed.header.plaintext_digest:
+        blob = ModelBlob(buf, CipherMode.CHUNKED_CTR)
+        if blob.digest != parsed.header.plaintext_digest:
             raise DigestError("decrypted plaintext does not match the container digest")
     except BaseException:
         _wipe(buf)
         raise
-    return ModelBlob(buf, CipherMode.CHUNKED_CTR, digest)
+    return blob
 
 
 def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> ModelBlob:

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 
 import pytest
 
@@ -211,6 +212,47 @@ class TestUnsealCli:
         assert code == 0
         assert target.read_bytes() == MODEL
         assert [p.name for p in tmp_path.iterdir() if p.suffix == ".tmp"] == []
+
+    def test_out_keeps_the_mode_of_the_file_it_replaces(self, capsys, sealed_file,
+                                                         tmp_path):
+        target = tmp_path / "plain.bin"
+        target.write_bytes(b"stale")
+        target.chmod(0o640)
+        code, _, _ = run(capsys, "unseal", str(sealed_file),
+                         "--out", str(target), "--allow-plaintext-output",
+                         "--passphrase", PASSPHRASE)
+        assert code == 0
+        assert target.read_bytes() == MODEL
+        assert target.stat().st_mode & 0o777 == 0o640
+
+    def test_out_writes_through_a_symlink(self, capsys, sealed_file, tmp_path):
+        real = tmp_path / "elsewhere" / "plain.bin"
+        real.parent.mkdir()
+        real.write_bytes(b"stale")
+        link = tmp_path / "plain.bin"
+        link.symlink_to(real)
+        code, _, _ = run(capsys, "unseal", str(sealed_file),
+                         "--out", str(link), "--allow-plaintext-output",
+                         "--passphrase", PASSPHRASE)
+        assert code == 0
+        assert link.is_symlink()
+        assert real.read_bytes() == MODEL
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_out_writes_into_a_fifo(self, capsys, sealed_file, tmp_path):
+        fifo = tmp_path / "plain.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        code, _, _ = run(capsys, "unseal", str(sealed_file),
+                         "--out", str(fifo), "--allow-plaintext-output",
+                         "--passphrase", PASSPHRASE)
+        reader.join(timeout=10)
+        assert code == 0
+        assert received == [MODEL]
+        assert fifo.is_fifo()
 
     def test_wrong_key_is_crypto_error(self, capsys, sealed_file):
         code, _, err = run(capsys, "unseal", str(sealed_file),
