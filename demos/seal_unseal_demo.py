@@ -1,6 +1,6 @@
 """Seal a model buffer, then unseal it three ways.
 
-Walks the core pipeline end to end: chunked container sealing, parallel
+Walks the core pipeline end to end: chunked container sealing,
 in-memory unsealing, the legacy raw mode, and the background variant
 with progress reporting. Run directly:
 
@@ -25,8 +25,9 @@ sealed, report = seal(model, key)
 print("sealed container:", report.manifest())
 
 # ---------------------------------------------------------------------
-# Unseal with a worker pool. The container's chunk table lets every
-# chunk decrypt independently, so this scales with cores.
+# Unseal in memory. The container's chunk table lets every chunk decrypt
+# independently; they run in order on this thread, because AES holds the
+# GIL and threads would not run two chunks at once.
 blob = unseal_parallel(sealed, key)
 print("round trip ok:", bytes(blob.data) == model)
 print("digest:", blob.digest.hex())
@@ -40,7 +41,7 @@ print("after release, buffer is zeroed:", view[:8].tobytes().hex())
 # ---------------------------------------------------------------------
 # Raw mode: a bare ECB+PKCS#7 blob with no header, for compatibility
 # with pre-container artifacts. No framing means no fingerprint check
-# and no parallelism; a wrong key shows up as a padding failure.
+# and no chunks; a wrong key shows up as a padding failure.
 raw, raw_report = seal(model, key, mode=CipherMode.RAW_ECB_PKCS7)
 print("raw .dat size:", raw_report.output_len,
       "(plaintext", len(model), "+ padding)")

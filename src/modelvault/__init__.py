@@ -28,9 +28,8 @@ from .key_client import fetch_key
 from .key_service import (KEY_PATH, KeyService, ServiceConfig,
                           handle_key_request, issue_token, verify_token)
 from .sealer import MIN_CHUNK_SIZE, SealReport, seal, seal_file
-from .unsealer import (ModelBlob, UnsealHandle, UnsealProgress,
-                       default_workers, unseal, unseal_background,
-                       unseal_parallel)
+from .unsealer import (ModelBlob, UnsealHandle, UnsealProgress, unseal,
+                       unseal_background, unseal_parallel)
 
 __version__ = "0.1.0"
 
@@ -43,7 +42,7 @@ __all__ = [
     "SealedContainer", "SealedFormat", "ServiceConfig", "UnsealHandle",
     "UnsealProgress",
     "build_chunk_table", "chunk_count_for", "ctr_crypt", "decode",
-    "decrypt_block", "default_workers", "derive_key", "detect_format",
+    "decrypt_block", "derive_key", "detect_format",
     "ecb_decrypt", "ecb_encrypt", "emit_table", "encode", "encrypt_block",
     "errors", "fetch_key", "fit_linear", "format_fit",
     "generate_synthetic_model", "handle_key_request", "issue_token",

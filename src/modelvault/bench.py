@@ -19,7 +19,6 @@ results can be compared across machines.
 
 from __future__ import annotations
 
-import os
 import random
 import statistics
 import tempfile
@@ -64,8 +63,10 @@ def generate_synthetic_model(size_bytes: int, seed: int) -> bytes:
 class BenchRecord:
     """Median timings for one model size.
 
-    ``workers`` and ``repetitions`` record how the numbers were taken;
-    both stay ``None`` for records rebuilt from an external table.
+    ``workers`` (the number of threads that decrypted: 1 for containers,
+    ``None`` for raw artifacts) and ``repetitions`` record how the numbers
+    were taken; both stay ``None`` for records rebuilt from an external
+    table.
     """
 
     label: str
@@ -125,7 +126,8 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
 
     ``repetitions`` must be at least 3 so the median means something.
     Sealed files land in ``work_dir`` (a fresh temp directory when
-    omitted).
+    omitted). ``workers`` is handed to unseal_parallel, which checks it
+    and always decrypts on one thread.
     """
     if repetitions < 3:
         raise RangeError(f"repetitions must be at least 3, got {repetitions}")
@@ -133,13 +135,6 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
         raise RangeError("sizes_mb must be non-empty")
     if key is None:
         key = KeyMaterial.generate()
-    if mode is CipherMode.CHUNKED_CTR:
-        # The pool size the run was configured with (per-container caps
-        # at the chunk count still apply inside unseal_parallel).
-        effective_workers = (workers if workers is not None
-                             else max(1, os.cpu_count() or 1))
-    else:
-        effective_workers = None
 
     with tempfile.TemporaryDirectory(prefix="mvc-bench-") as tmp:
         base = Path(work_dir) if work_dir is not None else Path(tmp)
@@ -185,7 +180,7 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
         encrypt_ms=statistics.median(case["encrypt"]),
         storage_ms=statistics.median(case["storage"]),
         decrypt_ms=statistics.median(case["decrypt"]),
-        workers=effective_workers,
+        workers=1 if mode is CipherMode.CHUNKED_CTR else None,
         repetitions=repetitions,
     ) for case in cases]
 

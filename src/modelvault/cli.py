@@ -49,6 +49,8 @@ from .unsealer import unseal, unseal_parallel
 _CRYPTO_ERRORS = (KeyMismatchError, PaddingError, DigestError, AuthError)
 
 _KEYGEN_ALPHABET = string.ascii_letters + string.digits
+_WORKERS_HELP = ("kept for compatibility; selects nothing, as chunks always "
+                 "decrypt on one thread (a container still rejects a value below 1)")
 
 
 class _UsageError(Exception):
@@ -284,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="sealed artifact")
     p.add_argument("--format", choices=["auto", "raw", "container"],
                    default="auto")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--verify-only", action="store_true",
                    help="decrypt in memory and print the digest only "
                    "(this is already the default)")
@@ -324,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["ctr", "raw"], default="ctr")
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default=".",
                    help="directory for bench.md and bench.csv (default: .)")

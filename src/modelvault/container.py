@@ -3,7 +3,7 @@
 A sealed model is distributed either as a bare AES-256-ECB/PKCS#7
 ciphertext (the raw ``.dat`` layout, no framing at all) or as a versioned
 container that adds a key fingerprint, a plaintext digest, and a chunk
-table so the payload can be decrypted in parallel.
+table so the payload can be decrypted chunk by chunk.
 
 Container layout, all integers little-endian:
 

@@ -3,15 +3,17 @@
 Two cipher modes are offered. RAW_ECB_PKCS7 reproduces the classic
 "encrypt the whole file in one doFinal" pipeline bit for bit: AES-256-ECB
 with PKCS#7 padding and no framing. CHUNKED_CTR is the mode the sealed
-container uses; every chunk gets its own counter stream so chunks decrypt
-independently and in parallel.
+container uses; every chunk gets its own counter stream so each chunk
+decrypts independently of the others.
 
 ECB leaks equal-block patterns and should only be used where byte-level
 compatibility with the raw ``.dat`` layout matters; see the README's
 security notes.
 
 No function holds hidden randomness or shared state, so all are safe to
-call concurrently; ctr_crypt with ``out`` writes only to that buffer.
+call concurrently; ctr_crypt with ``out`` writes only to that buffer. The
+ECB functions each work in one buffer of the output's size, so a raw seal
+or unseal holds one copy of the plaintext, which ``_wipe`` can zero.
 """
 
 from __future__ import annotations
@@ -150,38 +152,62 @@ def decrypt_block(key: KeyMaterial, block: bytes) -> bytes:
     return dec.update(block) + dec.finalize()
 
 
-def _pkcs7_pad(data: bytes) -> bytes:
-    n = BLOCK_SIZE - (len(data) % BLOCK_SIZE)
-    return data + bytes([n]) * n
+_ZEROS = memoryview(bytes(64 * 1024))
+# ECB update_into wants room for one more (partial) block than it writes.
+_ECB_SLACK = BLOCK_SIZE - 1
 
 
-def _pkcs7_unpad(data: bytes) -> bytes:
-    # One uniform error for every failure shape; no padding-oracle detail.
-    if data:
-        n = data[-1]
-        if 1 <= n <= BLOCK_SIZE and data[-n:] == bytes([n]) * n:
-            return data[:-n]
-    raise PaddingError("invalid padding")
+def _wipe(buf: bytearray) -> None:
+    """Zero-fill ``buf`` in place, block by block, allocating nothing its size."""
+    view = memoryview(buf)
+    for start in range(0, len(view), len(_ZEROS)):
+        piece = view[start : start + len(_ZEROS)]
+        piece[:] = _ZEROS[: len(piece)]
 
 
-def ecb_encrypt(plaintext: bytes, key: KeyMaterial) -> bytes:
+def ecb_encrypt(plaintext: bytes, key: KeyMaterial) -> bytearray:
     """AES-256-ECB with PKCS#7 padding.
 
     Output length is always ((len(plaintext) // 16) + 1) * 16: a full
     padding block is appended when the input is already block-aligned.
+    The plaintext is padded and encrypted in place in the returned buffer.
     """
+    n = BLOCK_SIZE - (len(plaintext) % BLOCK_SIZE)
+    padded = len(plaintext) + n
+    buf = bytearray(padded + _ECB_SLACK)
     enc = Cipher(_aes(key), modes.ECB()).encryptor()
-    return enc.update(_pkcs7_pad(plaintext)) + enc.finalize()
+    # Through a memoryview: bytearray slice assignment copies its source.
+    with memoryview(buf) as view:
+        view[: len(plaintext)] = plaintext
+        view[len(plaintext) : padded] = bytes([n]) * n
+        enc.update_into(view[:padded], buf)
+    enc.finalize()
+    del buf[padded:]
+    return buf
 
 
-def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> bytes:
-    """Invert ecb_encrypt, stripping and verifying the PKCS#7 padding."""
-    if len(ciphertext) == 0 or len(ciphertext) % BLOCK_SIZE:
+def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> bytearray:
+    """Invert ecb_encrypt, stripping and verifying the PKCS#7 padding.
+
+    The plaintext is decrypted into the returned buffer and the padding is
+    cut off in place; on a padding failure the buffer is zeroed first.
+    """
+    size = len(ciphertext)
+    if size == 0 or size % BLOCK_SIZE:
         raise LengthError(
-            f"ciphertext length must be a positive multiple of {BLOCK_SIZE}, got {len(ciphertext)}"
+            f"ciphertext length must be a positive multiple of {BLOCK_SIZE}, got {size}"
         )
+    buf = bytearray(size + _ECB_SLACK)
     dec = Cipher(_aes(key), modes.ECB()).decryptor()
-    return _pkcs7_unpad(dec.update(ciphertext) + dec.finalize())
+    dec.update_into(ciphertext, buf)
+    dec.finalize()
+    # One uniform error for every failure shape; no padding-oracle detail.
+    n = buf[size - 1]
+    if not (1 <= n <= BLOCK_SIZE and buf[size - n : size] == bytes([n]) * n):
+        _wipe(buf)
+        raise PaddingError("invalid padding")
+    del buf[size - n :]
+    return buf
 
 
 def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int,

@@ -148,7 +148,7 @@ class _Handler(BaseHTTPRequestHandler):
     do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _respond
 
     def log_message(self, format, *args):
-        # Path and status only; never headers or bodies.
+        # Silence the default access log: nothing is logged per request.
         pass
 
 

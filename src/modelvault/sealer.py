@@ -68,10 +68,11 @@ def seal(
     key: KeyMaterial,
     mode: CipherMode = CipherMode.CHUNKED_CTR,
     chunk_size: int = DEFAULT_CHUNK_SIZE,
-) -> tuple[bytes | bytearray, SealReport]:
+) -> tuple[bytearray, SealReport]:
     """Encrypt model bytes in memory. Returns (sealed bytes, report).
 
-    A container comes back as a bytearray, the one buffer it was built in.
+    The sealed bytes come back as a bytearray in both modes, the one
+    buffer the artifact was built in.
 
     The report's storage_ms is 0; only seal_file touches storage.
     """

@@ -3,13 +3,16 @@
 Nothing in this module writes to storage; the decrypted model only ever
 exists as an in-process buffer that the caller can hand to an ML runtime
 and explicitly wipe afterwards. Three entry points share one chunk
-engine, ``_decrypt_chunks``:
+engine, ``_decrypt_chunks``, which decrypts the chunks in order on the
+thread that runs it:
 
-* unseal            - synchronous, single-threaded
-* unseal_parallel   - synchronous, chunks fan out over a worker pool
-                      whenever more than one worker can be used
-* unseal_background - returns at once; workers decrypt while progress and
-                      completion callbacks fire, and a handle can cancel
+* unseal            - synchronous, on the calling thread
+* unseal_parallel   - the same, for containers only; ``workers`` is
+                      checked but selects nothing (AES holds the GIL, so
+                      threads would not decrypt two chunks at once)
+* unseal_background - returns at once; one runner thread decrypts while
+                      progress and completion callbacks fire, and a
+                      handle can cancel
 
 Each chunk is decrypted from a view of the sealed bytes straight into
 the blob's buffer, and the blob's own digest is the one checked against
@@ -21,23 +24,20 @@ plaintext digest after assembly (corruption fails loud). The raw ``.dat``
 layout has no metadata, so there a wrong key only surfaces as a padding
 failure, exactly like the pipeline it is byte-compatible with.
 
-Zeroization caveat: release() wipes the blob's own buffer. On the
-container path no per-chunk plaintext exists outside it, and to_bytes()
-is the only copy, which is the caller's to manage. The raw path goes
-through immutable bytes from the cipher that no wipe reaches; treat the
-wipe as hygiene, not as a hard memory guarantee.
+Zeroization caveat: release() wipes the blob's own buffer. On both the
+container and the raw path the plaintext is decrypted straight into that
+buffer, and to_bytes() is the only copy, which is the caller's to
+manage. Treat the wipe as hygiene, not as a hard memory guarantee.
 """
 
 from __future__ import annotations
 
-import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .container import MAGIC, SealedContainer, SealedFormat, decode
-from .crypto import CipherMode, KeyMaterial, ctr_crypt, ecb_decrypt, sha256
+from .crypto import CipherMode, KeyMaterial, _wipe, ctr_crypt, ecb_decrypt, sha256
 from .errors import CancelledError, DigestError, KeyMismatchError, ModeError, RangeError
 
 
@@ -92,17 +92,6 @@ class UnsealProgress:
 ProgressSink = Callable[[UnsealProgress], None]
 DoneSink = Callable[[Optional[ModelBlob], Optional[Exception]], None]
 
-_ZEROS = memoryview(bytes(64 * 1024))
-
-
-def _wipe(buf: bytearray) -> None:
-    # Block by block, so wiping allocates nothing the size of the plaintext.
-    view = memoryview(buf)
-    for start in range(0, len(view), len(_ZEROS)):
-        piece = view[start : start + len(_ZEROS)]
-        piece[:] = _ZEROS[: len(piece)]
-
-
 def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memoryview,
                    out: memoryview) -> None:
     # Module-level indirection so tests can count or slow chunk decryption.
@@ -133,47 +122,26 @@ def _decrypt_chunks(
     parsed: SealedContainer,
     key: KeyMaterial,
     buf: bytearray,
-    workers: int,
     on_chunk: ProgressSink | None,
     cancelled: Callable[[], bool] | None,
 ) -> None:
-    """Decrypt every chunk of ``parsed`` into its own slice of ``buf``.
+    """Decrypt every chunk of ``parsed``, in order, into its slice of ``buf``.
 
-    Runs inline when only one worker can be used, otherwise over a thread
-    pool. After each chunk lands, on the calling thread, ``cancelled`` is
-    polled (true raises CancelledError) and ``on_chunk`` gets a progress
-    event. On any exit the pool has drained: chunks not yet started are
-    dropped and in-flight chunks have finished.
+    After each chunk ``cancelled`` is polled (true raises CancelledError)
+    and ``on_chunk`` gets a progress event.
     """
     nonce = parsed.header.file_nonce
     payload, out = memoryview(parsed.payload), memoryview(buf)
     total = parsed.header.chunk_count
-
-    def work(index: int) -> int:
-        entry = parsed.chunk_table[index]
+    bytes_done = 0
+    for index, entry in enumerate(parsed.chunk_table):
         span = slice(entry.ciphertext_offset, entry.ciphertext_offset + entry.plaintext_len)
         _decrypt_chunk(key, nonce, index, payload[span], out[span])
-        return entry.plaintext_len
-
-    pool_size = min(workers, total)
-    pool = ThreadPoolExecutor(pool_size, thread_name_prefix="mvc-chunk") if pool_size > 1 else None
-    try:
-        if pool is None:
-            landed = map(work, range(total))
-        else:
-            futures = [pool.submit(work, index) for index in range(total)]
-            landed = (future.result() for future in as_completed(futures))
-        chunks_done = bytes_done = 0
-        for nbytes in landed:
-            if cancelled is not None and cancelled():
-                raise CancelledError("cancelled while decrypting")
-            chunks_done += 1
-            bytes_done += nbytes
-            if on_chunk is not None:
-                on_chunk(UnsealProgress(chunks_done, total, bytes_done))
-    finally:
-        if pool is not None:
-            pool.shutdown(wait=True, cancel_futures=True)
+        if cancelled is not None and cancelled():
+            raise CancelledError("cancelled while decrypting")
+        bytes_done += entry.plaintext_len
+        if on_chunk is not None:
+            on_chunk(UnsealProgress(index + 1, total, bytes_done))
 
 
 def _unseal_container(
@@ -185,13 +153,11 @@ def _unseal_container(
 ) -> ModelBlob:
     """Open, decrypt and verify a container; the buffer is wiped on any failure."""
     parsed = _open_container(sealed, key)
-    if workers is None:
-        workers = default_workers(parsed.header.chunk_count)
-    if workers < 1:
+    if workers is not None and workers < 1:
         raise RangeError(f"workers must be at least 1, got {workers}")
     buf = bytearray(parsed.header.plaintext_len)
     try:
-        _decrypt_chunks(parsed, key, buf, workers, on_chunk, cancelled)
+        _decrypt_chunks(parsed, key, buf, on_chunk, cancelled)
         blob = ModelBlob(buf, CipherMode.CHUNKED_CTR)
         if blob.digest != parsed.header.plaintext_digest:
             raise DigestError("decrypted plaintext does not match the container digest")
@@ -208,24 +174,17 @@ def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> Mo
     key fingerprint first and the plaintext digest afterwards.
     """
     if declared_format is SealedFormat.RAW_DAT:
-        return ModelBlob(bytearray(ecb_decrypt(sealed, key)), CipherMode.RAW_ECB_PKCS7)
+        return ModelBlob(ecb_decrypt(sealed, key), CipherMode.RAW_ECB_PKCS7)
     return _unseal_container(sealed, key, workers=1)
 
 
-def default_workers(chunk_count: int) -> int:
-    """Worker-count default: processors this process may run on, capped at chunk count."""
-    if hasattr(os, "sched_getaffinity"):
-        return max(1, min(len(os.sched_getaffinity(0)), chunk_count))
-    return max(1, min(os.cpu_count() or 1, chunk_count))
-
-
 def unseal_parallel(sealed: bytes, key: KeyMaterial, workers: int | None = None) -> ModelBlob:
-    """Decrypt a container with chunks spread over a thread pool.
+    """Decrypt a container on the calling thread, like unseal().
 
-    Output is byte-identical to unseal() for any worker count; surplus
-    workers are never started, and a single usable worker runs inline
-    with no pool. Raw artifacts are rejected with ModeError (the padding
-    chain cannot be split safely).
+    ``workers`` must be at least 1 (RangeError otherwise) but selects
+    nothing: the chunks always decrypt one after another, since AES holds
+    the GIL and a thread pool never ran two chunks at once. Raw artifacts
+    are rejected with ModeError (the padding chain cannot be split).
     """
     return _unseal_container(sealed, key, workers)
 
@@ -240,29 +199,30 @@ class UnsealHandle:
         self._cancel_requested = threading.Event()
 
     def state(self) -> str:
-        """One of "running", "done", "failed", "cancelled"."""
+        """One of "running", "done", "failed", "cancelled".
+
+        The state turns terminal just before on_done runs; wait() returns
+        only after on_done has returned.
+        """
         with self._lock:
             return self._state
 
     def cancel(self) -> None:
         """Request cancellation; returns immediately.
 
-        Chunks not yet started are dropped, in-flight chunks finish but
-        their output is discarded, every produced plaintext buffer is
-        wiped, and on_done fires once with CancelledError.
+        The chunk in flight finishes and no later chunk is decrypted; the
+        plaintext buffer is wiped and on_done fires once with
+        CancelledError.
         """
         self._cancel_requested.set()
 
     def wait(self, timeout: float | None = None) -> bool:
-        """Block until the job reaches a terminal state. True if it did."""
+        """Block until the job has settled and on_done has returned. True if so."""
         return self._done_event.wait(timeout)
 
-    def _settle(self, state: str) -> bool:
+    def _settle(self, state: str) -> None:
         with self._lock:
-            if self._state != "running":
-                return False
             self._state = state
-        return True
 
 
 def unseal_background(
@@ -272,14 +232,18 @@ def unseal_background(
     on_progress: ProgressSink | None = None,
     on_done: DoneSink | None = None,
 ) -> UnsealHandle:
-    """Start decrypting on background workers and return immediately.
+    """Start decrypting on one background thread and return immediately.
 
     The scheduling call does no decoding or decryption itself. Progress
     events (one per finished chunk, monotone, ending at chunks_total) and
-    the final outcome arrive on the sinks, which are invoked from worker
-    threads. Every failure, including bad input, is delivered through
+    the final outcome arrive on the sinks, which are invoked from that
+    thread. Every failure, including bad input, is delivered through
     on_done as ``on_done(None, error)``; nothing is raised here. On
-    success on_done receives ``(blob, None)``.
+    success on_done receives ``(blob, None)``. ``workers`` is checked as
+    in unseal_parallel and selects nothing.
+
+    on_done runs before wait() returns, so a caller that waits sees its
+    effects. It must therefore not wait() on its own handle.
     """
     handle = UnsealHandle()
 
@@ -296,14 +260,14 @@ def unseal_background(
             state, error = "cancelled", exc
         except Exception as exc:
             state, error = "failed", exc
-        if not handle._settle(state):
-            return
-        handle._done_event.set()
-        if on_done is not None:
-            try:
+        handle._settle(state)
+        try:
+            if on_done is not None:
                 on_done(blob, error)
-            except Exception:
-                pass  # a completion sink that throws has nowhere better to go
+        except Exception:
+            pass  # a completion sink that throws has nowhere better to go
+        finally:
+            handle._done_event.set()
 
     threading.Thread(target=run, name="mvc-unseal", daemon=True).start()
     return handle

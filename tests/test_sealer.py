@@ -2,6 +2,7 @@
 
 import json
 import os
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,18 @@ class TestSealRaw:
     def test_round_trip(self, fips_key):
         sealed, _ = seal(MODEL, fips_key, mode=CipherMode.RAW_ECB_PKCS7)
         assert ecb_decrypt(sealed, fips_key) == MODEL
+
+    def test_one_output_buffer(self, fips_key):
+        model = bytes(8 * 1024 * 1024)
+        tracemalloc.start()
+        try:
+            sealed, _ = seal(model, fips_key, mode=CipherMode.RAW_ECB_PKCS7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(sealed, bytearray)
+        assert len(sealed) == len(model) + 16
+        assert peak < 1.1 * len(model)
 
 
 class TestSealContainer:

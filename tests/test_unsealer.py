@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modelvault.crypto as crypto_mod
 import modelvault.unsealer as unsealer_mod
 from modelvault.container import HEADER_SIZE, SealedFormat, decode
 from modelvault.crypto import CipherMode, KeyMaterial, sha256
@@ -17,8 +18,8 @@ from modelvault.errors import (CancelledError, DigestError, KeyMismatchError,
                                ModelVaultError, ModeError, PaddingError,
                                RangeError)
 from modelvault.sealer import seal
-from modelvault.unsealer import (ModelBlob, default_workers, unseal,
-                                 unseal_background, unseal_parallel)
+from modelvault.unsealer import (ModelBlob, unseal, unseal_background,
+                                 unseal_parallel)
 from conftest import FIPS_KEY_BYTES
 
 MODEL = bytes((i * 31 + 7) % 256 for i in range(10240))
@@ -36,8 +37,11 @@ def raw_bytes(fips_key):
     return sealed
 
 
-def counting_decrypt(monkeypatch, delay=0.0):
-    """Instrument _decrypt_chunk; returns the call-count list."""
+def counting_decrypt(monkeypatch, delay=0.0, threads=None):
+    """Instrument _decrypt_chunk; returns the chunk indexes in call order.
+
+    Given a ``threads`` list, each call also appends its thread's ident.
+    """
     calls = []
     real = unsealer_mod._decrypt_chunk
 
@@ -45,6 +49,8 @@ def counting_decrypt(monkeypatch, delay=0.0):
         if delay:
             time.sleep(delay)
         calls.append(args[2])
+        if threads is not None:
+            threads.append(threading.get_ident())
         return real(*args)
 
     monkeypatch.setattr(unsealer_mod, "_decrypt_chunk", wrapper)
@@ -61,6 +67,33 @@ class TestUnsealRaw:
     def test_wrong_key_fails_padding(self, raw_bytes, other_key):
         with pytest.raises(PaddingError):
             unseal(raw_bytes, other_key, SealedFormat.RAW_DAT)
+
+    def test_padding_failure_wipes_the_buffer(self, raw_bytes, other_key,
+                                              monkeypatch):
+        wiped = []
+        real = crypto_mod._wipe
+
+        def recording_wipe(buf):
+            real(buf)
+            wiped.append(buf)
+
+        monkeypatch.setattr(crypto_mod, "_wipe", recording_wipe)
+        with pytest.raises(PaddingError):
+            unseal(raw_bytes, other_key, SealedFormat.RAW_DAT)
+        [buf] = wiped
+        assert len(buf) >= len(raw_bytes) and not any(buf)
+
+    def test_one_plaintext_buffer(self, fips_key):
+        size = 8 * 1024 * 1024
+        sealed, _ = seal(bytes(size), fips_key, mode=CipherMode.RAW_ECB_PKCS7)
+        tracemalloc.start()
+        try:
+            blob = unseal(sealed, fips_key, SealedFormat.RAW_DAT)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == size
+        assert peak < 1.1 * size
 
 
 class TestUnsealContainer:
@@ -143,14 +176,14 @@ class TestUnsealParallel:
         unseal_parallel(container_bytes, fips_key, workers=3)
         assert sorted(calls) == [0, 1, 2]
 
-
-class TestDefaultWorkers:
-    def test_capped_by_chunks(self):
-        assert default_workers(1) == 1
-
-    def test_at_least_one(self):
-        assert default_workers(0) == 1
-        assert default_workers(10**6) >= 1
+    @pytest.mark.parametrize("workers", [1, 2, 4, 8])
+    def test_chunks_decrypt_in_order_on_calling_thread(
+            self, container_bytes, fips_key, monkeypatch, workers):
+        threads = []
+        calls = counting_decrypt(monkeypatch, threads=threads)
+        unseal_parallel(container_bytes, fips_key, workers=workers)
+        assert calls == [0, 1, 2]
+        assert threads == [threading.get_ident()] * 3
 
 
 class TestModelBlob:
@@ -307,6 +340,20 @@ class TestUnsealBackground:
         assert handle.state() == "done"
         assert len(sink.done) == 1
 
+    def test_on_done_has_run_when_wait_returns(self, container_bytes,
+                                               fips_key):
+        calls = []
+
+        def slow_sink(blob, error):
+            time.sleep(0.05)
+            calls.append((blob, error))
+
+        handle = unseal_background(container_bytes, fips_key,
+                                   on_done=slow_sink)
+        assert handle.wait(10)
+        assert len(calls) == 1
+        assert calls[0][1] is None
+
     def test_done_sink_exception_swallowed(self, container_bytes, fips_key):
         def explosive(blob, error):
             raise RuntimeError("sink bug")
@@ -414,6 +461,7 @@ def _mutate(sealed: bytes, mutations) -> bytes:
 
 FUZZ_KEY = KeyMaterial(FIPS_KEY_BYTES)
 FUZZ_SEALED = seal(MODEL, FUZZ_KEY, chunk_size=4096)[0]
+FUZZ_RAW = seal(MODEL, FUZZ_KEY, mode=CipherMode.RAW_ECB_PKCS7)[0]
 MUTATION = st.tuples(st.sampled_from(["flip", "truncate", "flip-refix-crc"]),
                      st.integers(min_value=0, max_value=len(FUZZ_SEALED)),
                      st.integers(min_value=0, max_value=7))
@@ -431,5 +479,15 @@ class TestMutatedArtifacts:
         try:
             blob = unseal(mutated, FUZZ_KEY, SealedFormat.CONTAINER)
         except ModelVaultError:
+            pass
+        else:
+            assert blob.to_bytes() == MODEL  # anything accepted is the sealed model
+
+        # Raw .dat has no integrity check: an accepted output only has to be
+        # the mutated input less its 1-16 padding bytes.
+        mutated_raw = _mutate(FUZZ_RAW, mutations)
+        try:
+            blob = unseal(mutated_raw, FUZZ_KEY, SealedFormat.RAW_DAT)
+        except ModelVaultError:
             return
-        assert blob.to_bytes() == MODEL  # anything accepted is the sealed model
+        assert 1 <= len(mutated_raw) - len(blob) <= 16
