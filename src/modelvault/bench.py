@@ -30,7 +30,7 @@ from .container import DEFAULT_CHUNK_SIZE, SealedFormat
 from .crypto import KeyMaterial, CipherMode
 from .errors import DegenerateError, RangeError
 from .sealer import seal_file
-from .unsealer import unseal, unseal_parallel
+from .unsealer import unseal
 
 MIB = 1024 * 1024
 
@@ -63,10 +63,8 @@ def generate_synthetic_model(size_bytes: int, seed: int) -> bytes:
 class BenchRecord:
     """Median timings for one model size.
 
-    ``workers`` (the number of threads that decrypted: 1 for containers,
-    ``None`` for raw artifacts) and ``repetitions`` record how the numbers
-    were taken; both stay ``None`` for records rebuilt from an external
-    table.
+    ``repetitions`` records how many measured rounds the medians come
+    from; it stays ``None`` for records rebuilt from an external table.
     """
 
     label: str
@@ -74,7 +72,6 @@ class BenchRecord:
     encrypt_ms: float
     storage_ms: float
     decrypt_ms: float
-    workers: int | None = None
     repetitions: int | None = None
 
     @property
@@ -105,13 +102,9 @@ def _now_ms() -> float:
     return time.perf_counter_ns() / 1e6
 
 
-def _time_decrypt(sealed: bytes, key: KeyMaterial, mode: CipherMode,
-                  workers: int | None) -> float:
+def _time_decrypt(sealed: bytes, key: KeyMaterial, fmt: SealedFormat) -> float:
     start = _now_ms()
-    if mode is CipherMode.CHUNKED_CTR:
-        blob = unseal_parallel(sealed, key, workers=workers)
-    else:
-        blob = unseal(sealed, key, SealedFormat.RAW_DAT)
+    blob = unseal(sealed, key, fmt)
     elapsed = _now_ms() - start
     blob.release()
     return elapsed
@@ -120,14 +113,13 @@ def _time_decrypt(sealed: bytes, key: KeyMaterial, mode: CipherMode,
 def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
               mode: CipherMode = CipherMode.CHUNKED_CTR,
               chunk_size: int = DEFAULT_CHUNK_SIZE,
-              repetitions: int = DEFAULT_REPS, workers: int | None = None,
+              repetitions: int = DEFAULT_REPS,
               seed: int = DEFAULT_SEED, work_dir=None) -> list[BenchRecord]:
     """Benchmark every size and return one median record per size.
 
     ``repetitions`` must be at least 3 so the median means something.
     Sealed files land in ``work_dir`` (a fresh temp directory when
-    omitted). ``workers`` is handed to unseal_parallel, which checks it
-    and always decrypts on one thread.
+    omitted). Decryption is timed through unseal() on the calling thread.
     """
     if repetitions < 3:
         raise RangeError(f"repetitions must be at least 3, got {repetitions}")
@@ -135,6 +127,8 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
         raise RangeError("sizes_mb must be non-empty")
     if key is None:
         key = KeyMaterial.generate()
+    fmt = (SealedFormat.RAW_DAT if mode is CipherMode.RAW_ECB_PKCS7
+           else SealedFormat.CONTAINER)
 
     with tempfile.TemporaryDirectory(prefix="mvc-bench-") as tmp:
         base = Path(work_dir) if work_dir is not None else Path(tmp)
@@ -166,7 +160,7 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
                                    mode=mode, chunk_size=chunk_size,
                                    write_manifest=False)
                 sealed = case["out_path"].read_bytes()
-                decrypt_ms = _time_decrypt(sealed, key, mode, workers)
+                decrypt_ms = _time_decrypt(sealed, key, fmt)
                 del spacer, sealed
                 if rep == 0:
                     continue
@@ -180,7 +174,6 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
         encrypt_ms=statistics.median(case["encrypt"]),
         storage_ms=statistics.median(case["storage"]),
         decrypt_ms=statistics.median(case["decrypt"]),
-        workers=1 if mode is CipherMode.CHUNKED_CTR else None,
         repetitions=repetitions,
     ) for case in cases]
 

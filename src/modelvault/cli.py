@@ -43,14 +43,15 @@ from .errors import (AuthError, DegenerateError, DigestError, IoError,
 from .key_client import fetch_key
 from .key_service import KeyService, ServiceConfig, issue_token
 from .sealer import _atomic_write, seal_file
-from .unsealer import unseal, unseal_parallel
+from .unsealer import unseal
 
 # Errors that mean "the cryptography said no", not "you held it wrong".
 _CRYPTO_ERRORS = (KeyMismatchError, PaddingError, DigestError, AuthError)
 
 _KEYGEN_ALPHABET = string.ascii_letters + string.digits
-_WORKERS_HELP = ("kept for compatibility; selects nothing, as chunks always "
-                 "decrypt on one thread (a container still rejects a value below 1)")
+_FORMATS = {"raw": SealedFormat.RAW_DAT, "container": SealedFormat.CONTAINER}
+_WORKERS_HELP = ("kept for compatibility: must be at least 1, and is otherwise "
+                 "ignored, as chunks always decrypt on one thread")
 
 
 class _UsageError(Exception):
@@ -74,6 +75,17 @@ def _add_key_options(parser: argparse.ArgumentParser) -> None:
                        help="fetch the key from this endpoint")
     group.add_argument("--token", metavar="JWT",
                        help="bearer token for --key-url (or set MVC_TOKEN)")
+
+
+def _workers(text: str) -> int:
+    """Check --workers: at least 1 whatever the format; the value is not used."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"workers must be at least 1, got {value}")
+    return value
 
 
 def _resolve_key(args) -> KeyMaterial:
@@ -158,18 +170,9 @@ def cmd_unseal(args) -> int:
                           "--allow-plaintext-output")
     key = _resolve_key(args)
     sealed = _read_sealed(Path(args.input))
-    if args.format == "auto":
-        declared = detect_format(sealed)
-    elif args.format == "raw":
-        declared = SealedFormat.RAW_DAT
-    else:
-        declared = SealedFormat.CONTAINER
-
+    declared = detect_format(sealed) if args.format == "auto" else _FORMATS[args.format]
     start = time.perf_counter_ns()
-    if declared is SealedFormat.CONTAINER:
-        blob = unseal_parallel(sealed, key, workers=args.workers)
-    else:
-        blob = unseal(sealed, key, SealedFormat.RAW_DAT)
+    blob = unseal(sealed, key, declared)
     unseal_ms = (time.perf_counter_ns() - start) / 1e6
 
     result = {
@@ -251,7 +254,7 @@ def cmd_bench(args) -> int:
     sizes = _parse_sizes(args.sizes) if args.sizes else DEFAULT_SIZES_MB
     records = run_bench(sizes_mb=sizes, mode=CipherMode.from_token(args.mode),
                         chunk_size=args.chunk_size, repetitions=args.reps,
-                        workers=args.workers, seed=args.seed)
+                        seed=args.seed)
     markdown = emit_table(records, "markdown")
     try:
         fit_line = format_fit(fit_linear(records))
@@ -286,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", help="sealed artifact")
     p.add_argument("--format", choices=["auto", "raw", "container"],
                    default="auto")
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=_workers, default=None, help=_WORKERS_HELP)
     p.add_argument("--verify-only", action="store_true",
                    help="decrypt in memory and print the digest only "
                    "(this is already the default)")
@@ -326,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mode", choices=["ctr", "raw"], default="ctr")
     p.add_argument("--chunk-size", type=int, default=DEFAULT_CHUNK_SIZE)
     p.add_argument("--reps", type=int, default=DEFAULT_REPS)
-    p.add_argument("--workers", type=int, default=None, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=_workers, default=None, help=_WORKERS_HELP)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--out-dir", default=".",
                    help="directory for bench.md and bench.csv (default: .)")

@@ -206,6 +206,12 @@ def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> bytearray:
     if not (1 <= n <= BLOCK_SIZE and buf[size - n : size] == bytes([n]) * n):
         _wipe(buf)
         raise PaddingError("invalid padding")
+    # Cut below half its len + 1 byte block, CPython would move the buffer
+    # and free the old block unwiped: copy a short plaintext out instead.
+    if 2 * (size - n) < len(buf) + 1:
+        plain = bytearray(memoryview(buf)[: size - n])
+        _wipe(buf)
+        return plain
     del buf[size - n :]
     return buf
 

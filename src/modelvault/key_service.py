@@ -132,6 +132,7 @@ def handle_key_request(config: ServiceConfig, method: str, path: str,
 
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
+    timeout = 10.0  # idle seconds before a silent client is dropped, freeing its thread
 
     def _respond(self):
         config: ServiceConfig = self.server.config  # type: ignore[attr-defined]

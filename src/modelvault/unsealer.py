@@ -4,12 +4,11 @@ Nothing in this module writes to storage; the decrypted model only ever
 exists as an in-process buffer that the caller can hand to an ML runtime
 and explicitly wipe afterwards. Three entry points share one chunk
 engine, ``_decrypt_chunks``, which decrypts the chunks in order on the
-thread that runs it:
+thread that runs it (AES holds the GIL, so more threads would not help):
 
 * unseal            - synchronous, on the calling thread
-* unseal_parallel   - the same, for containers only; ``workers`` is
-                      checked but selects nothing (AES holds the GIL, so
-                      threads would not decrypt two chunks at once)
+* unseal_parallel   - the same, for containers only, under an older
+                      name; its worker count is checked, then ignored
 * unseal_background - returns at once; one runner thread decrypts while
                       progress and completion callbacks fire, and a
                       handle can cancel
@@ -108,7 +107,7 @@ def _open_container(sealed: bytes, key: KeyMaterial) -> SealedContainer:
     format mix-up.
     """
     if sealed[:4] != MAGIC:
-        raise ModeError("not a sealed container; raw .dat payloads cannot be chunk-parallelized")
+        raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
     parsed = decode(sealed)
     if parsed.header.key_fingerprint != key.fingerprint:
         raise KeyMismatchError(
@@ -147,14 +146,11 @@ def _decrypt_chunks(
 def _unseal_container(
     sealed: bytes,
     key: KeyMaterial,
-    workers: int | None,
     on_chunk: ProgressSink | None = None,
     cancelled: Callable[[], bool] | None = None,
 ) -> ModelBlob:
     """Open, decrypt and verify a container; the buffer is wiped on any failure."""
     parsed = _open_container(sealed, key)
-    if workers is not None and workers < 1:
-        raise RangeError(f"workers must be at least 1, got {workers}")
     buf = bytearray(parsed.header.plaintext_len)
     try:
         _decrypt_chunks(parsed, key, buf, on_chunk, cancelled)
@@ -175,18 +171,20 @@ def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> Mo
     """
     if declared_format is SealedFormat.RAW_DAT:
         return ModelBlob(ecb_decrypt(sealed, key), CipherMode.RAW_ECB_PKCS7)
-    return _unseal_container(sealed, key, workers=1)
+    return _unseal_container(sealed, key)
 
 
 def unseal_parallel(sealed: bytes, key: KeyMaterial, workers: int | None = None) -> ModelBlob:
-    """Decrypt a container on the calling thread, like unseal().
+    """Decrypt a container on the calling thread, exactly like unseal().
 
-    ``workers`` must be at least 1 (RangeError otherwise) but selects
-    nothing: the chunks always decrypt one after another, since AES holds
+    ``workers`` must be at least 1 (RangeError otherwise) and is otherwise
+    ignored: the chunks always decrypt one after another, since AES holds
     the GIL and a thread pool never ran two chunks at once. Raw artifacts
-    are rejected with ModeError (the padding chain cannot be split).
+    are rejected with ModeError.
     """
-    return _unseal_container(sealed, key, workers)
+    if workers is not None and workers < 1:
+        raise RangeError(f"workers must be at least 1, got {workers}")
+    return _unseal_container(sealed, key)
 
 
 class UnsealHandle:
@@ -228,7 +226,6 @@ class UnsealHandle:
 def unseal_background(
     sealed: bytes,
     key: KeyMaterial,
-    workers: int | None = None,
     on_progress: ProgressSink | None = None,
     on_done: DoneSink | None = None,
 ) -> UnsealHandle:
@@ -239,8 +236,7 @@ def unseal_background(
     the final outcome arrive on the sinks, which are invoked from that
     thread. Every failure, including bad input, is delivered through
     on_done as ``on_done(None, error)``; nothing is raised here. On
-    success on_done receives ``(blob, None)``. ``workers`` is checked as
-    in unseal_parallel and selects nothing.
+    success on_done receives ``(blob, None)``.
 
     on_done runs before wait() returns, so a caller that waits sees its
     effects. It must therefore not wait() on its own handle.
@@ -253,7 +249,7 @@ def unseal_background(
         try:
             if handle._cancel_requested.is_set():
                 raise CancelledError("cancelled before decryption started")
-            blob = _unseal_container(sealed, key, workers, on_progress,
+            blob = _unseal_container(sealed, key, on_progress,
                                      handle._cancel_requested.is_set)
             state = "done"
         except CancelledError as exc:

@@ -109,7 +109,6 @@ class TestBenchRecord:
     def test_run_context_defaults_to_unknown(self):
         # Records rebuilt from an external table carry no run context.
         record = reference_records()[0]
-        assert record.workers is None
         assert record.repetitions is None
 
 
@@ -220,14 +219,12 @@ class TestRunBench:
             assert record.storage_ms > 0
             assert record.decrypt_ms > 0
             assert record.repetitions == 3
-            assert record.workers == 1  # chunks decrypt on one thread
 
     def test_raw_mode_live_run(self, fips_key):
         records = run_bench(sizes_mb=(0.01,), key=fips_key, repetitions=3, seed=5,
                             mode=CipherMode.RAW_ECB_PKCS7)
         assert len(records) == 1
         assert records[0].decrypt_ms > 0
-        assert records[0].workers is None  # raw mode decrypts one-shot
 
     def test_too_few_reps_rejected(self, fips_key):
         with pytest.raises(RangeError):

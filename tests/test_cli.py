@@ -299,6 +299,24 @@ class TestUnsealCli:
                          "--passphrase", PASSPHRASE)
         assert code == 0
 
+    def test_workers_below_one_rejected_on_raw(self, capsys, model_file,
+                                               tmp_path):
+        raw_path = tmp_path / "sealed.dat"
+        assert main(["seal", str(model_file), "--out", str(raw_path),
+                     "--mode", "raw", "--passphrase", PASSPHRASE]) == 0
+        capsys.readouterr()
+        code, out, err = run(capsys, "unseal", str(raw_path), "--workers", "0",
+                             "--passphrase", PASSPHRASE)
+        assert code == 1
+        assert out == ""
+        assert "at least 1" in err
+
+    def test_non_integer_workers_is_usage_error(self, capsys, sealed_file):
+        code, _, err = run(capsys, "unseal", str(sealed_file), "--workers", "two",
+                           "--passphrase", PASSPHRASE)
+        assert code == 1
+        assert "invalid int value: 'two'" in err
+
     def test_explicit_verify_only_flag(self, capsys, sealed_file):
         code, out, _ = run(capsys, "unseal", str(sealed_file),
                            "--verify-only", "--passphrase", PASSPHRASE)
@@ -519,3 +537,11 @@ class TestBenchCli:
     def test_bad_reps_rejected(self, capsys):
         code, _, _ = run(capsys, "bench", "--sizes", "0.01", "--reps", "1")
         assert code == 1
+
+    def test_workers_below_one_rejected_on_raw(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "bench", "--mode", "raw", "--workers", "0",
+                           "--sizes", "0.01,0.02,0.03", "--reps", "3",
+                           "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert not (tmp_path / "bench.md").exists()

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import aes_reference as ref
+from modelvault import crypto as crypto_mod
 from modelvault.crypto import (BLOCK_SIZE, KEY_BYTES, PASSPHRASE_CHARS,
                                CipherMode, KeyMaterial, ctr_crypt,
                                decrypt_block, derive_key, ecb_decrypt,
@@ -202,6 +203,32 @@ class TestEcb:
         junk = rng.randbytes(16)
         with pytest.raises(PaddingError):
             ecb_decrypt(junk, key)
+
+    @pytest.mark.parametrize("n", range(32))
+    def test_short_plaintext_leaves_no_unwiped_buffer(self, fips_key,
+                                                      monkeypatch, n):
+        # Cutting a bytearray below half of its len + 1 byte block makes
+        # CPython reallocate it and free the old block as it stands, so
+        # there the decrypt buffer must be zeroed before it is dropped.
+        wiped = []
+        real = crypto_mod._wipe
+
+        def recording_wipe(buf):
+            real(buf)
+            wiped.append(buf)
+
+        monkeypatch.setattr(crypto_mod, "_wipe", recording_wipe)
+        data = bytes(range(1, n + 1))
+        sealed = bytes(ecb_encrypt(data, fips_key))
+        plain = ecb_decrypt(sealed, fips_key)
+        assert plain == data
+        decrypt_buffer = len(sealed) + BLOCK_SIZE - 1
+        if 2 * n < decrypt_buffer + 1:
+            [buf] = wiped
+            assert buf is not plain and len(buf) == decrypt_buffer
+            assert not any(buf)
+        else:
+            assert wiped == []  # cut in place, no copy
 
     def test_wrong_key_never_returns_plaintext(self, fips_key, other_key):
         data = b"secret weights"

@@ -2,6 +2,8 @@
 
 import base64
 import json
+import socket
+import time
 import urllib.error
 import urllib.request
 
@@ -9,8 +11,8 @@ import pytest
 
 from modelvault.errors import LengthError
 from modelvault.key_service import (KEY_PATH, KeyService, ServiceConfig,
-                                    handle_key_request, issue_token,
-                                    verify_token)
+                                    _Handler, handle_key_request,
+                                    issue_token, verify_token)
 
 SECRET = b"test-jwt-secret"
 PASSPHRASE = "0123456789abcdef"
@@ -245,3 +247,12 @@ class TestKeyServiceHttp:
             results = list(pool.map(
                 lambda _: self.request(service.url, token)[0], range(16)))
         assert results == [200] * 16
+
+    def test_idle_client_is_disconnected(self, monkeypatch):
+        assert _Handler.timeout is not None and _Handler.timeout > 0
+        monkeypatch.setattr(_Handler, "timeout", 0.2)  # keep the test short
+        with KeyService(config()) as svc, \
+                socket.create_connection(("127.0.0.1", svc.port), timeout=5) as idle:
+            start = time.monotonic()
+            assert idle.recv(1) == b""  # closed by the server, nothing sent
+            assert time.monotonic() - start < 5

@@ -262,7 +262,7 @@ class TestUnsealBackground:
                                                 fips_key, monkeypatch):
         counting_decrypt(monkeypatch, delay=0.15)
         start = time.perf_counter()
-        handle = unseal_background(container_bytes, fips_key, workers=1)
+        handle = unseal_background(container_bytes, fips_key)
         elapsed = time.perf_counter() - start
         assert elapsed < 0.1  # scheduling must not wait on chunk work
         assert handle.state() == "running" or handle.wait(10)
@@ -302,7 +302,7 @@ class TestUnsealBackground:
         sealed, _ = seal(bytes(40960), fips_key, chunk_size=4096)  # 10 chunks
         counting_decrypt(monkeypatch, delay=0.1)
         sink = Collector()
-        handle = unseal_background(sealed, fips_key, workers=1,
+        handle = unseal_background(sealed, fips_key,
                                    on_progress=sink.on_progress,
                                    on_done=sink.on_done)
         # Let at least one chunk land, then pull the plug.
@@ -323,7 +323,7 @@ class TestUnsealBackground:
 
     def test_cancel_immediately(self, container_bytes, fips_key, monkeypatch):
         counting_decrypt(monkeypatch, delay=0.2)
-        handle = unseal_background(container_bytes, fips_key, workers=1)
+        handle = unseal_background(container_bytes, fips_key)
         handle.cancel()
         assert handle.wait(10)
         assert handle.state() == "cancelled"
@@ -379,15 +379,6 @@ class TestUnsealBackground:
         assert blob is None
         assert isinstance(error, RuntimeError)
 
-    def test_bad_worker_count_reported_via_on_done(self, container_bytes,
-                                                   fips_key):
-        sink = Collector()
-        handle = unseal_background(container_bytes, fips_key, workers=0,
-                                   on_done=sink.on_done)
-        assert handle.wait(10)
-        assert handle.state() == "failed"
-        assert isinstance(sink.done[0][1], RangeError)
-
 
 def _unseal_in_background(sealed, key):
     finished = threading.Event()
@@ -397,7 +388,7 @@ def _unseal_in_background(sealed, key):
         outcome.append((blob, error))
         finished.set()
 
-    unseal_background(sealed, key, workers=2, on_done=on_done)
+    unseal_background(sealed, key, on_done=on_done)
     assert finished.wait(10)
     [(blob, error)] = outcome
     assert error is None
