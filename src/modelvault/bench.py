@@ -2,8 +2,9 @@
 
 Measures the three phases separately on synthetic models:
 
-* ``encrypt_ms`` -- producing the sealed bytes in memory
-* ``storage_ms`` -- writing them to disk (write + flush)
+* ``encrypt_ms`` -- encrypting the model (``seal_file`` streams a container
+  chunk by chunk, so this is the CTR work; see ``modelvault.sealer``)
+* ``storage_ms`` -- writing the sealed bytes to disk (writes + flush)
 * ``decrypt_ms`` -- recovering the plaintext from the sealed bytes
 
 Repetitions are interleaved round-robin across sizes (warm-up round

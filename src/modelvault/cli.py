@@ -42,7 +42,7 @@ from .errors import (AuthError, DegenerateError, DigestError, IoError,
                      KeyMismatchError, ModelVaultError, PaddingError)
 from .key_client import fetch_key
 from .key_service import KeyService, ServiceConfig, issue_token
-from .sealer import _atomic_write, seal_file
+from .sealer import _atomic_output, seal_file
 from .unsealer import unseal
 
 # Errors that mean "the cryptography said no", not "you held it wrong".
@@ -139,7 +139,8 @@ def _write_plaintext(path: Path, data: memoryview) -> None:
     except FileNotFoundError:
         old = None
     if old is None or stat.S_ISREG(old.st_mode):
-        _atomic_write(path, data)
+        with _atomic_output(path) as out:
+            out.write(data)
         if old is not None:
             os.chmod(path, stat.S_IMODE(old.st_mode))
         return

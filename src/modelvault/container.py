@@ -114,8 +114,8 @@ def build_chunk_table(plaintext_len: int, chunk_size: int) -> tuple[ChunkEntry, 
     return tuple(entries)
 
 
-def _validate(container: SealedContainer) -> None:
-    h = container.header
+def _validate(h: ContainerHeader, chunk_table: tuple[ChunkEntry, ...]) -> None:
+    """Check a header and its chunk table against each other and the format."""
     if h.version != VERSION:
         raise InvariantError(f"version must be {VERSION}, got {h.version}")
     if h.mode is not CipherMode.CHUNKED_CTR:
@@ -137,10 +137,10 @@ def _validate(container: SealedContainer) -> None:
             f"chunk_count {h.chunk_count} does not match "
             f"ceil({h.plaintext_len} / {h.chunk_size})"
         )
-    if len(container.chunk_table) != h.chunk_count:
+    if len(chunk_table) != h.chunk_count:
         raise InvariantError("chunk table length does not match chunk_count")
     offset = 0
-    for i, entry in enumerate(container.chunk_table):
+    for i, entry in enumerate(chunk_table):
         if entry.ciphertext_offset != offset:
             raise InvariantError(f"chunk {i} offset {entry.ciphertext_offset}, expected {offset}")
         if not 0 <= entry.plaintext_len <= _U32_MAX:
@@ -148,20 +148,27 @@ def _validate(container: SealedContainer) -> None:
         offset += entry.plaintext_len
     if offset != h.plaintext_len:
         raise InvariantError(f"chunk lengths sum to {offset}, expected {h.plaintext_len}")
-    if len(container.payload) != h.plaintext_len:
-        raise InvariantError(
-            f"payload is {len(container.payload)} bytes, expected {h.plaintext_len}"
-        )
 
 
-def encode(container: SealedContainer) -> bytearray:
-    """Serialize a container to its bit-exact wire form, in one new buffer.
+def _check_payload(container: SealedContainer) -> None:
+    size, expected = len(container.payload), container.header.plaintext_len
+    if size != expected:
+        raise InvariantError(f"payload is {size} bytes, expected {expected}")
 
-    The buffer is mutable so that a sealer can frame the plaintext and
-    then encrypt the payload region in place.
+
+def header_len(chunk_count: int) -> int:
+    """Bytes from the start of a container to its payload."""
+    return HEADER_SIZE + chunk_count * CHUNK_ENTRY_SIZE
+
+
+def encode_header(header: ContainerHeader, chunk_table: tuple[ChunkEntry, ...]) -> bytes:
+    """The bit-exact wire form of everything before the payload.
+
+    That is the header, its CRC and the chunk table, header_len(chunk_count)
+    bytes. A streaming sealer writes the payload first and this last.
     """
-    _validate(container)
-    h = container.header
+    _validate(header, chunk_table)
+    h = header
     body = _HEADER_BODY.pack(
         MAGIC,
         h.version,
@@ -175,10 +182,16 @@ def encode(container: SealedContainer) -> bytearray:
         h.plaintext_digest,
     )
     parts = [body, _HEADER_CRC.pack(zlib.crc32(body))]
-    for entry in container.chunk_table:
+    for entry in chunk_table:
         parts.append(_CHUNK_ENTRY.pack(entry.ciphertext_offset, entry.plaintext_len))
-    parts.append(container.payload)
-    return bytearray().join(parts)
+    return b"".join(parts)
+
+
+def encode(container: SealedContainer) -> bytearray:
+    """Serialize a container to its bit-exact wire form, in one new buffer."""
+    head = encode_header(container.header, container.chunk_table)
+    _check_payload(container)
+    return bytearray().join((head, container.payload))
 
 
 def decode(data: bytes) -> SealedContainer:
@@ -205,7 +218,7 @@ def decode(data: bytes) -> SealedContainer:
     except ValueError as exc:
         raise InvariantError(str(exc)) from exc
 
-    table_end = HEADER_SIZE + chunk_count * CHUNK_ENTRY_SIZE
+    table_end = header_len(chunk_count)
     if len(data) < table_end:
         raise TruncationError(
             f"chunk table needs {table_end - HEADER_SIZE} bytes, "
@@ -231,7 +244,8 @@ def decode(data: bytes) -> SealedContainer:
         flags=flags,
     )
     container = SealedContainer(header=header, chunk_table=entries, payload=payload)
-    _validate(container)  # rejects trailing bytes and inconsistent tables
+    _validate(header, entries)  # rejects inconsistent tables
+    _check_payload(container)  # rejects trailing bytes
     return container
 
 

@@ -1,20 +1,36 @@
 """Unit tests for sealing: outputs, manifests, atomicity, hygiene."""
 
+import errno
 import json
 import os
+import random
+import threading
+import time
 import tracemalloc
+import types
 
 import pytest
 
 import aes_reference as ref
 import modelvault.sealer as sealer_mod
-from modelvault.container import HEADER_SIZE, decode
+from modelvault.container import DEFAULT_CHUNK_SIZE, HEADER_SIZE, SealedFormat, decode
 from modelvault.crypto import CipherMode, ecb_decrypt, sha256
 from modelvault.errors import IoError, RangeError
 from modelvault.sealer import MIN_CHUNK_SIZE, seal, seal_file
+from modelvault.unsealer import unseal
 from conftest import FIPS_KEY_BYTES
 
 MODEL = bytes(range(256)) * 40  # 10240 bytes, spans several small chunks
+
+
+@pytest.fixture
+def fixed_nonce(monkeypatch):
+    monkeypatch.setattr(sealer_mod.secrets, "token_bytes",
+                        lambda n: bytes(range(1, n + 1)))
+
+
+def _leftovers(directory, *keep):
+    return sorted(p.name for p in directory.iterdir() if p.name not in keep)
 
 
 class TestSealRaw:
@@ -77,12 +93,10 @@ class TestSealContainer:
         (MODEL, "9ee942d2b5f732b5b6e5209e57b4b81b8ff82ca5b6a6a87eec72457250e346d6"),
         (b"", "a02e1bf2ec6d710f021af47cb037908d4ffff658c6962f03d1be8a9ed032d6f5"),
     ])
-    def test_bit_exact_for_a_fixed_nonce(self, fips_key, monkeypatch, model,
+    def test_bit_exact_for_a_fixed_nonce(self, fips_key, fixed_nonce, model,
                                          digest_hex):
         # Pinned from the earlier construction (encrypt each chunk, then
         # frame the ciphertext): sealing in place must match it bit for bit.
-        monkeypatch.setattr(sealer_mod.secrets, "token_bytes",
-                            lambda n: bytes(range(1, n + 1)))
         sealed, _ = seal(model, fips_key, chunk_size=4096)
         assert sha256(sealed).hex() == digest_hex
 
@@ -132,6 +146,37 @@ class TestSealReport:
         assert report.storage_ms == 0.0
         assert report.encrypt_ms > 0.0
 
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    @pytest.mark.parametrize("to_file", [False, True], ids=["seal", "seal_file"])
+    def test_hash_time_is_its_own_phase(self, fips_key, monkeypatch, tmp_path,
+                                        mode, to_file):
+        # A hash slowed by 50 ms must show in hash_ms and nowhere else.
+        def slow(fn):
+            def wrapped(*args):
+                time.sleep(0.05)
+                return fn(*args)
+            return wrapped
+
+        class SlowSha256:
+            def __init__(self):
+                self._hasher = real_sha256()
+                self.update = slow(self._hasher.update)
+                self.digest = self._hasher.digest
+
+        real_sha256 = sealer_mod.hashlib.sha256
+        monkeypatch.setattr(sealer_mod, "hashlib", types.SimpleNamespace(sha256=SlowSha256))
+        monkeypatch.setattr(sealer_mod, "sha256", slow(sealer_mod.sha256))
+        if to_file:
+            src = tmp_path / "model.bin"
+            src.write_bytes(MODEL[:4096])
+            report = seal_file(src, tmp_path / "model.out", fips_key, mode=mode)
+        else:
+            _, report = seal(MODEL[:4096], fips_key, mode=mode)
+        assert report.plaintext_digest == sha256(MODEL[:4096])
+        assert report.hash_ms >= 50.0
+        assert report.encrypt_ms < 50.0
+        assert report.storage_ms < 50.0
+
 
 class TestSealFile:
     def test_writes_artifact_and_manifest(self, tmp_path, fips_key):
@@ -180,8 +225,52 @@ class TestSealFile:
             seal_file(src, out, fips_key)
         monkeypatch.setattr(os, "replace", real_replace)
         assert not out.exists()
-        leftovers = [p for p in tmp_path.iterdir() if p.name != "model.bin"]
-        assert leftovers == []  # temp file cleaned up too
+        assert _leftovers(tmp_path, "model.bin") == []  # temp file cleaned up too
+
+    def test_interrupt_leaves_no_temp_file(self, tmp_path, fips_key, monkeypatch):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+
+        def interrupted_replace(a, b):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(os, "replace", interrupted_replace)
+        with pytest.raises(KeyboardInterrupt):
+            seal_file(src, tmp_path / "model.mvc", fips_key)
+        assert _leftovers(tmp_path, "model.bin") == []
+
+    def test_disk_full_mid_stream_leaves_no_output(self, tmp_path, fips_key,
+                                                   monkeypatch):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        real_fdopen = os.fdopen
+        written = []
+
+        class FillsAfterOneChunk:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                if sum(written) + len(data) > MIN_CHUNK_SIZE:
+                    raise OSError(errno.ENOSPC, "No space left on device")
+                written.append(len(data))
+                return self.handle.write(data)
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, mode: FillsAfterOneChunk(real_fdopen(fd, mode)))
+        with pytest.raises(IoError, match="No space left"):
+            seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=MIN_CHUNK_SIZE)
+        assert written == [MIN_CHUNK_SIZE]  # the first chunk went out
+        assert _leftovers(tmp_path, "model.bin") == []
 
     def test_plaintext_never_in_output_dir(self, tmp_path, fips_key):
         # No file in the output tree may contain the plaintext's first
@@ -204,3 +293,93 @@ class TestSealFile:
         report = seal_file(src, out, fips_key, mode=CipherMode.RAW_ECB_PKCS7)
         assert out.read_bytes() == ref.ecb_pkcs7_encrypt(FIPS_KEY_BYTES, MODEL)
         assert report.mode is CipherMode.RAW_ECB_PKCS7
+
+
+class TestSealFileStreaming:
+    @pytest.mark.parametrize("chunk_size", [MIN_CHUNK_SIZE, DEFAULT_CHUNK_SIZE])
+    @pytest.mark.parametrize("chunks", [0, "1 byte", -1, 1, +1, 3.5],
+                             ids=["empty", "one-byte", "chunk-1", "chunk", "chunk+1",
+                                  "3.5-chunks"])
+    def test_matches_in_memory_seal(self, tmp_path, fips_key, fixed_nonce,
+                                    chunk_size, chunks):
+        if chunks == "1 byte":
+            size = 1
+        elif chunks in (-1, +1):
+            size = chunk_size + chunks
+        else:
+            size = int(chunks * chunk_size)
+        model = random.Random(size).randbytes(size)
+        src = tmp_path / "model.bin"
+        src.write_bytes(model)
+        out = tmp_path / "model.mvc"
+        report = seal_file(src, out, fips_key, chunk_size=chunk_size)
+        sealed, expected = seal(model, fips_key, chunk_size=chunk_size)
+        assert out.read_bytes() == sealed
+        assert report.output_len == expected.output_len == len(sealed)
+        assert report.plaintext_digest == expected.plaintext_digest
+        assert report.input_len == size
+
+    def test_holds_one_chunk_in_memory(self, tmp_path, fips_key):
+        size = 16 * 1024 * 1024
+        src = tmp_path / "model.bin"
+        with open(src, "wb") as handle:
+            for i in range(16):
+                handle.write(bytes([i]) * (1024 * 1024))
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            report = seal_file(src, tmp_path / "model.mvc", fips_key,
+                               chunk_size=1024 * 1024)
+            peak = tracemalloc.get_traced_memory()[1] - baseline
+        finally:
+            tracemalloc.stop()
+        assert report.input_len == size
+        assert peak < 0.1 * size
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_input_seals_like_a_regular_file(self, tmp_path, fips_key,
+                                                  fixed_nonce):
+        regular = tmp_path / "model.bin"
+        regular.write_bytes(MODEL)
+        seal_file(regular, tmp_path / "from-file.mvc", fips_key, chunk_size=4096)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(MODEL,), daemon=True)
+        writer.start()
+        report = seal_file(fifo, tmp_path / "from-fifo.mvc", fips_key, chunk_size=4096)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert report.input_len == len(MODEL)
+        assert ((tmp_path / "from-fifo.mvc").read_bytes()
+                == (tmp_path / "from-file.mvc").read_bytes())
+
+    def test_seal_onto_its_own_path(self, tmp_path, fips_key):
+        path = tmp_path / "model.bin"
+        path.write_bytes(MODEL)
+        seal_file(path, path, fips_key, chunk_size=4096, write_manifest=False)
+        blob = unseal(path.read_bytes(), fips_key, SealedFormat.CONTAINER)
+        assert bytes(blob.data) == MODEL
+        assert _leftovers(tmp_path) == ["model.bin"]
+
+    @pytest.mark.parametrize("new_size", [MIN_CHUNK_SIZE, len(MODEL) + 1],
+                             ids=["shrinks", "grows"])
+    def test_model_changing_size_is_refused(self, tmp_path, fips_key, monkeypatch,
+                                            new_size):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        buffers = []
+        real_ctr = sealer_mod.ctr_crypt
+
+        def ctr_then_resize(data, *args, **kwargs):
+            if not buffers:
+                buffers.append(data.obj)
+                with open(src, "r+b") as handle:
+                    handle.truncate(new_size)
+            return real_ctr(data, *args, **kwargs)
+
+        monkeypatch.setattr(sealer_mod, "ctr_crypt", ctr_then_resize)
+        with pytest.raises(IoError, match="changed while it was being sealed") as info:
+            seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=MIN_CHUNK_SIZE)
+        assert info.value.path == str(src)
+        assert _leftovers(tmp_path, "model.bin") == []
+        assert buffers[0] == bytearray(MIN_CHUNK_SIZE)  # the chunk buffer is wiped
