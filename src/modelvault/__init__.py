@@ -17,9 +17,9 @@ from .bench import (BenchRecord, DEFAULT_SIZES_MB, LinearFit, emit_table,
                     fit_linear, format_fit, generate_synthetic_model,
                     mb_to_bytes, run_bench)
 from .container import (CHUNK_ENTRY_SIZE, DEFAULT_CHUNK_SIZE, HEADER_SIZE,
-                        MAGIC, VERSION, ChunkEntry, ContainerHeader,
-                        SealedContainer, SealedFormat, build_chunk_table,
-                        chunk_count_for, decode, detect_format, encode)
+                        MAGIC, VERSION, ContainerHeader, SealedContainer,
+                        SealedFormat, chunk_count_for, chunk_slices, decode,
+                        detect_format, encode)
 from .crypto import (BLOCK_SIZE, KEY_BYTES, NONCE_BYTES, PASSPHRASE_CHARS,
                      CipherMode, KeyMaterial, ctr_crypt, decrypt_block,
                      derive_key, ecb_decrypt, ecb_encrypt, encrypt_block,
@@ -37,11 +37,11 @@ __all__ = [
     "BLOCK_SIZE", "CHUNK_ENTRY_SIZE", "DEFAULT_CHUNK_SIZE",
     "DEFAULT_SIZES_MB", "HEADER_SIZE", "KEY_BYTES", "KEY_PATH", "MAGIC",
     "MIN_CHUNK_SIZE", "NONCE_BYTES", "PASSPHRASE_CHARS", "VERSION",
-    "BenchRecord", "ChunkEntry", "CipherMode", "ContainerHeader",
+    "BenchRecord", "CipherMode", "ContainerHeader",
     "KeyMaterial", "KeyService", "LinearFit", "ModelBlob", "SealReport",
     "SealedContainer", "SealedFormat", "ServiceConfig", "UnsealHandle",
     "UnsealProgress",
-    "build_chunk_table", "chunk_count_for", "ctr_crypt", "decode",
+    "chunk_count_for", "chunk_slices", "ctr_crypt", "decode",
     "decrypt_block", "derive_key", "detect_format",
     "ecb_decrypt", "ecb_encrypt", "emit_table", "encode", "encrypt_block",
     "errors", "fetch_key", "fit_linear", "format_fit",

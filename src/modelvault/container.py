@@ -26,9 +26,13 @@ Container layout, all integers little-endian:
         ciphertext, CTR-encrypted per chunk (length-preserving)
 
 Chunks tile the plaintext contiguously; every chunk is chunk_size bytes
-except the last. An empty plaintext still carries one (empty) chunk. The
-mode byte keeps a slot for the raw layout, but a raw seal is by definition
-headerless, so a v1 container always says CHUNKED_CTR.
+except the last. An empty plaintext still carries one (empty) chunk. So
+plaintext_len and chunk_size alone fix chunk_count and every table entry:
+``chunk_slices`` is the one definition of that layout, the sealer and the
+unsealer both walk it, and ``decode`` rejects a stored count or table that
+differs from it. The mode byte keeps a slot for the raw layout, but a raw
+seal is by definition headerless, so a v1 container always says
+CHUNKED_CTR.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ import struct
 import zlib
 from dataclasses import dataclass
 from enum import Enum
+from typing import Iterator
 
 from .crypto import CipherMode, FINGERPRINT_BYTES, NONCE_BYTES
 from .errors import (
@@ -60,6 +65,7 @@ CHUNK_ENTRY_SIZE = _CHUNK_ENTRY.size  # 12
 
 _U32_MAX = (1 << 32) - 1
 _U64_MAX = (1 << 64) - 1
+MAX_CHUNK_SIZE = _U32_MAX  # chunk_size is a u32 on the wire
 
 
 class SealedFormat(Enum):
@@ -70,28 +76,24 @@ class SealedFormat(Enum):
 
 
 @dataclass(frozen=True)
-class ChunkEntry:
-    ciphertext_offset: int
-    plaintext_len: int
-
-
-@dataclass(frozen=True)
 class ContainerHeader:
     mode: CipherMode
     key_fingerprint: bytes
     file_nonce: bytes
     plaintext_len: int
     chunk_size: int
-    chunk_count: int
     plaintext_digest: bytes
     version: int = VERSION
     flags: int = 0
+
+    @property
+    def chunk_count(self) -> int:
+        return chunk_count_for(self.plaintext_len, self.chunk_size)
 
 
 @dataclass(frozen=True)
 class SealedContainer:
     header: ContainerHeader
-    chunk_table: tuple[ChunkEntry, ...]
     payload: bytes | memoryview  # decode() hands back a view over its input
 
 
@@ -102,20 +104,24 @@ def chunk_count_for(plaintext_len: int, chunk_size: int) -> int:
     return max(1, -(-plaintext_len // chunk_size))
 
 
-def build_chunk_table(plaintext_len: int, chunk_size: int) -> tuple[ChunkEntry, ...]:
-    """The canonical chunk table: contiguous chunk_size slices, short tail."""
-    count = chunk_count_for(plaintext_len, chunk_size)
-    entries = []
-    offset = 0
-    for i in range(count):
-        length = min(chunk_size, plaintext_len - offset)
-        entries.append(ChunkEntry(ciphertext_offset=offset, plaintext_len=length))
-        offset += length
-    return tuple(entries)
+def chunk_slices(plaintext_len: int, chunk_size: int) -> Iterator[slice]:
+    """Yield each chunk's span of the plaintext, and of the payload, in order.
+
+    Contiguous chunk_size slices with a short tail; an empty plaintext
+    yields one empty slice. Chunk ``i`` is encrypted under counter stream
+    ``i``.
+    """
+    for start in range(0, chunk_count_for(plaintext_len, chunk_size) * chunk_size, chunk_size):
+        yield slice(start, min(start + chunk_size, plaintext_len))
 
 
-def _validate(h: ContainerHeader, chunk_table: tuple[ChunkEntry, ...]) -> None:
-    """Check a header and its chunk table against each other and the format."""
+def _pack_table(plaintext_len: int, chunk_size: int) -> bytes:
+    return b"".join(_CHUNK_ENTRY.pack(span.start, span.stop - span.start)
+                    for span in chunk_slices(plaintext_len, chunk_size))
+
+
+def _validate(h: ContainerHeader) -> None:
+    """Check a header's fields against the format."""
     if h.version != VERSION:
         raise InvariantError(f"version must be {VERSION}, got {h.version}")
     if h.mode is not CipherMode.CHUNKED_CTR:
@@ -130,24 +136,10 @@ def _validate(h: ContainerHeader, chunk_table: tuple[ChunkEntry, ...]) -> None:
         raise InvariantError("plaintext_digest must be 32 bytes")
     if not 0 <= h.plaintext_len <= _U64_MAX:
         raise InvariantError("plaintext_len out of range")
-    if not 0 < h.chunk_size <= _U32_MAX:
+    if not 0 < h.chunk_size <= MAX_CHUNK_SIZE:
         raise InvariantError("chunk_size out of range")
-    if h.chunk_count != chunk_count_for(h.plaintext_len, h.chunk_size):
-        raise InvariantError(
-            f"chunk_count {h.chunk_count} does not match "
-            f"ceil({h.plaintext_len} / {h.chunk_size})"
-        )
-    if len(chunk_table) != h.chunk_count:
-        raise InvariantError("chunk table length does not match chunk_count")
-    offset = 0
-    for i, entry in enumerate(chunk_table):
-        if entry.ciphertext_offset != offset:
-            raise InvariantError(f"chunk {i} offset {entry.ciphertext_offset}, expected {offset}")
-        if not 0 <= entry.plaintext_len <= _U32_MAX:
-            raise InvariantError(f"chunk {i} length out of range")
-        offset += entry.plaintext_len
-    if offset != h.plaintext_len:
-        raise InvariantError(f"chunk lengths sum to {offset}, expected {h.plaintext_len}")
+    if h.chunk_count > _U32_MAX:
+        raise InvariantError("chunk_count out of range")
 
 
 def _check_payload(container: SealedContainer) -> None:
@@ -161,13 +153,13 @@ def header_len(chunk_count: int) -> int:
     return HEADER_SIZE + chunk_count * CHUNK_ENTRY_SIZE
 
 
-def encode_header(header: ContainerHeader, chunk_table: tuple[ChunkEntry, ...]) -> bytes:
+def encode_header(header: ContainerHeader) -> bytes:
     """The bit-exact wire form of everything before the payload.
 
     That is the header, its CRC and the chunk table, header_len(chunk_count)
     bytes. A streaming sealer writes the payload first and this last.
     """
-    _validate(header, chunk_table)
+    _validate(header)
     h = header
     body = _HEADER_BODY.pack(
         MAGIC,
@@ -181,15 +173,13 @@ def encode_header(header: ContainerHeader, chunk_table: tuple[ChunkEntry, ...]) 
         h.chunk_count,
         h.plaintext_digest,
     )
-    parts = [body, _HEADER_CRC.pack(zlib.crc32(body))]
-    for entry in chunk_table:
-        parts.append(_CHUNK_ENTRY.pack(entry.ciphertext_offset, entry.plaintext_len))
-    return b"".join(parts)
+    return b"".join((body, _HEADER_CRC.pack(zlib.crc32(body)),
+                     _pack_table(h.plaintext_len, h.chunk_size)))
 
 
 def encode(container: SealedContainer) -> bytearray:
     """Serialize a container to its bit-exact wire form, in one new buffer."""
-    head = encode_header(container.header, container.chunk_table)
+    head = encode_header(container.header)
     _check_payload(container)
     return bytearray().join((head, container.payload))
 
@@ -199,7 +189,9 @@ def decode(data: bytes) -> SealedContainer:
 
     The payload is a memoryview over ``data``, not a copy of the
     ciphertext. Raised errors name the failing region: MagicError,
-    VersionError, CrcError, TruncationError, or InvariantError.
+    VersionError, CrcError, TruncationError, or InvariantError. The
+    stored chunk_count and chunk table must be exactly the ones the
+    header's plaintext_len and chunk_size imply.
     """
     if len(data) < HEADER_SIZE:
         raise TruncationError(f"header needs {HEADER_SIZE} bytes, got {len(data)}")
@@ -224,10 +216,6 @@ def decode(data: bytes) -> SealedContainer:
             f"chunk table needs {table_end - HEADER_SIZE} bytes, "
             f"got {len(data) - HEADER_SIZE}"
         )
-    entries = tuple(
-        ChunkEntry(*_CHUNK_ENTRY.unpack_from(data, HEADER_SIZE + i * CHUNK_ENTRY_SIZE))
-        for i in range(chunk_count)
-    )
     payload = memoryview(data)[table_end:]
     if len(payload) < plaintext_len:
         raise TruncationError(f"payload is {len(payload)} bytes, header declares {plaintext_len}")
@@ -238,13 +226,23 @@ def decode(data: bytes) -> SealedContainer:
         file_nonce=nonce,
         plaintext_len=plaintext_len,
         chunk_size=chunk_size,
-        chunk_count=chunk_count,
         plaintext_digest=digest,
         version=version,
         flags=flags,
     )
-    container = SealedContainer(header=header, chunk_table=entries, payload=payload)
-    _validate(header, entries)  # rejects inconsistent tables
+    _validate(header)
+    # The stored count already fits in data, and the implied count must
+    # equal it, so the table packed here is no longer than data.
+    if chunk_count != header.chunk_count:
+        raise InvariantError(
+            f"chunk_count {chunk_count} does not match "
+            f"ceil({plaintext_len} / {chunk_size})"
+        )
+    if data[HEADER_SIZE:table_end] != _pack_table(plaintext_len, chunk_size):
+        raise InvariantError(
+            f"chunk table is not the contiguous {chunk_size}-byte tiling of {plaintext_len} bytes"
+        )
+    container = SealedContainer(header=header, payload=payload)
     _check_payload(container)  # rejects trailing bytes
     return container
 

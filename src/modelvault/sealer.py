@@ -13,8 +13,10 @@ handed on; the header, which carries the digest, is packed last.
 it reserves the header's bytes at the start of a temp file, reads, hashes,
 encrypts and writes each chunk, then writes the header at offset 0 and
 renames the temp file over the output. A model file that changes size
-meanwhile is refused. Raw mode, and an input that is not a regular file
-(a FIFO, ``/dev/stdin``), is read whole and sealed in memory.
+meanwhile is refused. Raw mode, and an input whose size is not known up
+front, is read whole and sealed in memory: one that is not a regular file
+(a FIFO, ``/dev/stdin``), or a regular file whose size reads 0 (a procfs
+pseudo-file); an empty file seals to the same bytes either way.
 
 Timing split mirrors the two-column reporting convention this toolkit
 benchmarks against, with the digest timed on its own:
@@ -46,8 +48,9 @@ from pathlib import Path
 from .container import (
     ContainerHeader,
     DEFAULT_CHUNK_SIZE,
-    build_chunk_table,
+    MAX_CHUNK_SIZE,
     chunk_count_for,
+    chunk_slices,
     encode_header,
     header_len,
 )
@@ -86,8 +89,9 @@ def _now_ms() -> float:
 
 
 def _check_chunk_size(mode: CipherMode, chunk_size: int) -> None:
-    if mode is CipherMode.CHUNKED_CTR and chunk_size < MIN_CHUNK_SIZE:
-        raise RangeError(f"chunk_size must be at least {MIN_CHUNK_SIZE}, got {chunk_size}")
+    if mode is CipherMode.CHUNKED_CTR and not MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE:
+        raise RangeError(f"chunk_size must be between {MIN_CHUNK_SIZE} and "
+                         f"{MAX_CHUNK_SIZE}, got {chunk_size}")
 
 
 def seal(
@@ -116,9 +120,9 @@ def seal(
         payload = memoryview(sealed)[head_len:]
         source = memoryview(model_bytes)
 
-        def frame(offset: int, length: int) -> memoryview:
-            chunk = payload[offset : offset + length]
-            chunk[:] = source[offset : offset + length]
+        def frame(span: slice) -> memoryview:
+            chunk = payload[span]
+            chunk[:] = source[span]
             return chunk
 
         head, digest, hash_ms, _, _ = _seal_chunks(size, key, chunk_size, frame)
@@ -141,8 +145,8 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
                  emit=None) -> tuple[bytes, bytes, float, float, float]:
     """The one container seal loop, shared by seal and seal_file.
 
-    For each chunk of a ``size``-byte plaintext, ``next_chunk(offset,
-    length)`` returns the chunk's plaintext in a writable buffer; the loop
+    For each span of ``chunk_slices(size, chunk_size)``, ``next_chunk(span)``
+    returns that chunk's plaintext in a writable buffer; the loop
     hashes it, encrypts it in place, and passes the ciphertext to
     ``emit``, if given, before asking for the next chunk.
 
@@ -150,11 +154,10 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
     the milliseconds spent hashing, encrypting and emitting.
     """
     nonce = secrets.token_bytes(NONCE_BYTES)
-    table = build_chunk_table(size, chunk_size)
     hasher = hashlib.sha256()
     hash_ns = crypt_ns = emit_ns = 0
-    for index, entry in enumerate(table):
-        chunk = next_chunk(entry.ciphertext_offset, entry.plaintext_len)
+    for index, span in enumerate(chunk_slices(size, chunk_size)):
+        chunk = next_chunk(span)
         t0 = time.perf_counter_ns()
         hasher.update(chunk)
         t1 = time.perf_counter_ns()
@@ -172,10 +175,9 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
         file_nonce=nonce,
         plaintext_len=size,
         chunk_size=chunk_size,
-        chunk_count=len(table),
         plaintext_digest=digest,
     )
-    return encode_header(header, table), digest, hash_ns / 1e6, crypt_ns / 1e6, emit_ns / 1e6
+    return encode_header(header), digest, hash_ns / 1e6, crypt_ns / 1e6, emit_ns / 1e6
 
 
 def seal_file(
@@ -201,7 +203,7 @@ def seal_file(
     with source:
         with _reading(input_path):
             info = os.fstat(source.fileno())
-        if mode is CipherMode.CHUNKED_CTR and stat.S_ISREG(info.st_mode):
+        if mode is CipherMode.CHUNKED_CTR and stat.S_ISREG(info.st_mode) and info.st_size:
             report = _stream_container(source, info.st_size, input_path, output_path,
                                        key, chunk_size)
         else:
@@ -241,11 +243,11 @@ def _stream_container(source, size: int, input_path: Path, output_path: Path,
     buf = bytearray(min(size, chunk_size))
     view = memoryview(buf)
 
-    def read_chunk(offset: int, length: int) -> memoryview:
-        chunk = view[:length]
+    def read_chunk(span: slice) -> memoryview:
+        chunk = view[: span.stop - span.start]
         filled = 0
         with _reading(input_path):
-            while filled < length:
+            while filled < len(chunk):
                 n = source.readinto(chunk[filled:])
                 if not n:
                     raise _changed_error(input_path)

@@ -35,7 +35,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .container import MAGIC, SealedContainer, SealedFormat, decode
+from .container import MAGIC, SealedContainer, SealedFormat, chunk_slices, decode
 from .crypto import CipherMode, KeyMaterial, _wipe, ctr_crypt, ecb_decrypt, sha256
 from .errors import CancelledError, DigestError, KeyMismatchError, ModeError, RangeError
 
@@ -129,18 +129,14 @@ def _decrypt_chunks(
     After each chunk ``cancelled`` is polled (true raises CancelledError)
     and ``on_chunk`` gets a progress event.
     """
-    nonce = parsed.header.file_nonce
+    h = parsed.header
     payload, out = memoryview(parsed.payload), memoryview(buf)
-    total = parsed.header.chunk_count
-    bytes_done = 0
-    for index, entry in enumerate(parsed.chunk_table):
-        span = slice(entry.ciphertext_offset, entry.ciphertext_offset + entry.plaintext_len)
-        _decrypt_chunk(key, nonce, index, payload[span], out[span])
+    for index, span in enumerate(chunk_slices(h.plaintext_len, h.chunk_size)):
+        _decrypt_chunk(key, h.file_nonce, index, payload[span], out[span])
         if cancelled is not None and cancelled():
             raise CancelledError("cancelled while decrypting")
-        bytes_done += entry.plaintext_len
         if on_chunk is not None:
-            on_chunk(UnsealProgress(index + 1, total, bytes_done))
+            on_chunk(UnsealProgress(index + 1, h.chunk_count, span.stop))
 
 
 def _unseal_container(

@@ -452,6 +452,7 @@ class TestKeyServiceCli:
         finally:
             proc.terminate()
             proc.wait(timeout=10)
+            proc.stdout.close()
 
 
 class TestStdoutHygiene:

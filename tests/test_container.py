@@ -1,5 +1,6 @@
 """Unit tests for the sealed container wire format."""
 
+import dataclasses
 import random
 import zlib
 
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 from modelvault.container import (CHUNK_ENTRY_SIZE, DEFAULT_CHUNK_SIZE,
                                   HEADER_SIZE, MAGIC, VERSION,
                                   ContainerHeader, SealedContainer,
-                                  SealedFormat, build_chunk_table,
-                                  chunk_count_for, decode, detect_format,
-                                  encode)
+                                  SealedFormat, chunk_count_for, chunk_slices,
+                                  decode, detect_format, encode)
+import modelvault.container as container_mod
 from modelvault.crypto import CipherMode, sha256
 from modelvault.errors import (ContainerError, CrcError, InvariantError,
                                MagicError, TruncationError, VersionError)
@@ -29,12 +30,20 @@ def make_container(payload_len=100, chunk_size=64, nonce=b"\x01" * 8,
         file_nonce=nonce,
         plaintext_len=payload_len,
         chunk_size=chunk_size,
-        chunk_count=chunk_count_for(payload_len, chunk_size),
         plaintext_digest=sha256(payload),
     )
-    return SealedContainer(header=header,
-                           chunk_table=build_chunk_table(payload_len, chunk_size),
-                           payload=payload)
+    return SealedContainer(header=header, payload=payload)
+
+
+def refix_crc(encoded: bytearray) -> bytearray:
+    """Re-seal the header CRC over an edited header, as a forger would."""
+    encoded[68:72] = zlib.crc32(encoded[:68]).to_bytes(4, "little")
+    return encoded
+
+
+def set_u(encoded: bytearray, offset: int, width: int, value: int) -> bytearray:
+    encoded[offset:offset + width] = value.to_bytes(width, "little")
+    return encoded
 
 
 class TestChunkMath:
@@ -54,17 +63,17 @@ class TestChunkMath:
     @given(length=st.integers(min_value=0, max_value=500_000),
            size=st.integers(min_value=1, max_value=70_000))
     def test_table_tiles_exactly(self, length, size):
-        table = build_chunk_table(length, size)
-        assert len(table) == chunk_count_for(length, size)
+        spans = list(chunk_slices(length, size))
+        assert len(spans) == chunk_count_for(length, size)
         offset = 0
-        for entry in table:
-            assert entry.ciphertext_offset == offset
-            offset += entry.plaintext_len
+        for span in spans:
+            assert span.start == offset
+            offset = span.stop
         assert offset == length
         # every chunk but the last is full
-        for entry in table[:-1]:
-            assert entry.plaintext_len == size
-        assert table[-1].plaintext_len <= size
+        for span in spans[:-1]:
+            assert span.stop - span.start == size
+        assert 0 <= spans[-1].stop - spans[-1].start <= size
 
 
 class TestEncode:
@@ -94,10 +103,15 @@ class TestEncode:
 
     def test_encode_validates(self):
         c = make_container()
-        bad = SealedContainer(header=c.header, chunk_table=c.chunk_table,
-                              payload=c.payload + b"extra")
+        bad = SealedContainer(header=c.header, payload=c.payload + b"extra")
         with pytest.raises(InvariantError):
             encode(bad)
+
+    def test_encode_rejects_more_chunks_than_a_u32_counts(self):
+        c = make_container()
+        huge = dataclasses.replace(c.header, plaintext_len=1 << 40, chunk_size=1)
+        with pytest.raises(InvariantError, match="chunk_count"):
+            encode(SealedContainer(header=huge, payload=b""))
 
 
 class TestDecode:
@@ -182,6 +196,50 @@ class TestDecode:
         encoded = encode(make_container(payload_len=100, chunk_size=64))
         with pytest.raises(InvariantError):
             decode(encoded + b"\x00")
+
+    # The chunk table lies outside the header CRC; it is checked against
+    # the layout that plaintext_len and chunk_size imply.
+    @pytest.mark.parametrize("field_offset,width,value", [
+        (0, 8, 65),  # second entry's offset
+        (8, 4, 35),  # second entry's length
+    ], ids=["offset", "length"])
+    def test_edited_table_entry_rejected(self, field_offset, width, value):
+        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        set_u(encoded, HEADER_SIZE + CHUNK_ENTRY_SIZE + field_offset, width, value)
+        with pytest.raises(InvariantError, match="chunk table"):
+            decode(bytes(encoded))
+
+    def test_consistent_but_uneven_table_rejected(self):
+        # Contiguous and summing to plaintext_len, but not chunk_size tiles.
+        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        set_u(encoded, HEADER_SIZE + 8, 4, 60)
+        set_u(encoded, HEADER_SIZE + CHUNK_ENTRY_SIZE, 8, 60)
+        set_u(encoded, HEADER_SIZE + CHUNK_ENTRY_SIZE + 8, 4, 40)
+        with pytest.raises(InvariantError, match="chunk table"):
+            decode(bytes(encoded))
+
+    @pytest.mark.parametrize("count,extra_entries", [(1, 0), (3, 1)])
+    def test_crc_refixed_chunk_count_mismatch_rejected(self, count, extra_entries):
+        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        encoded[HEADER_SIZE:HEADER_SIZE] = bytes(CHUNK_ENTRY_SIZE * extra_entries)
+        refix_crc(set_u(encoded, 32, 4, count))
+        with pytest.raises(InvariantError, match="chunk_count"):
+            decode(bytes(encoded))
+
+    @pytest.mark.parametrize("count", [2, (1 << 32) - 1])
+    def test_huge_claimed_length_is_truncation_without_a_table(self, monkeypatch,
+                                                               count):
+        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        set_u(encoded, 20, 8, (1 << 64) - 1)  # plaintext_len
+        set_u(encoded, 28, 4, 1)  # chunk_size
+        refix_crc(set_u(encoded, 32, 4, count))
+
+        def no_table(*args):
+            raise AssertionError("a chunk table was built for an unchecked count")
+
+        monkeypatch.setattr(container_mod, "chunk_slices", no_table)
+        with pytest.raises(TruncationError):
+            decode(bytes(encoded))
 
     def test_all_rejections_share_a_base_class(self):
         for mutate in (lambda b: b[:10],

@@ -13,7 +13,8 @@ import pytest
 
 import aes_reference as ref
 import modelvault.sealer as sealer_mod
-from modelvault.container import DEFAULT_CHUNK_SIZE, HEADER_SIZE, SealedFormat, decode
+from modelvault.container import (DEFAULT_CHUNK_SIZE, HEADER_SIZE, SealedFormat,
+                                  chunk_slices, decode)
 from modelvault.crypto import CipherMode, ecb_decrypt, sha256
 from modelvault.errors import IoError, RangeError
 from modelvault.sealer import MIN_CHUNK_SIZE, seal, seal_file
@@ -81,12 +82,10 @@ class TestSealContainer:
     def test_payload_is_ctr_of_each_chunk(self, fips_key):
         sealed, _ = seal(MODEL, fips_key, chunk_size=4096)
         parsed = decode(sealed)
-        nonce = parsed.header.file_nonce
+        h = parsed.header
         recovered = b"".join(
-            ref.ctr_keystream_xor(
-                FIPS_KEY_BYTES, nonce, index,
-                parsed.payload[e.ciphertext_offset:e.ciphertext_offset + e.plaintext_len])
-            for index, e in enumerate(parsed.chunk_table))
+            ref.ctr_keystream_xor(FIPS_KEY_BYTES, h.file_nonce, index, parsed.payload[span])
+            for index, span in enumerate(chunk_slices(h.plaintext_len, h.chunk_size)))
         assert recovered == MODEL
 
     @pytest.mark.parametrize("model,digest_hex", [
@@ -122,6 +121,14 @@ class TestSealContainer:
     def test_small_chunk_size_rejected(self, fips_key):
         with pytest.raises(RangeError):
             seal(MODEL, fips_key, chunk_size=MIN_CHUNK_SIZE - 1)
+
+    def test_chunk_size_beyond_u32_rejected_up_front(self, tmp_path, fips_key):
+        # Checked before the input is opened, let alone read and encrypted.
+        with pytest.raises(RangeError):
+            seal_file(tmp_path / "absent.bin", tmp_path / "out.mvc", fips_key,
+                      chunk_size=2**32)
+        with pytest.raises(RangeError):
+            seal(MODEL, fips_key, chunk_size=2**32)
 
     def test_min_chunk_size_only_binds_ctr(self, fips_key):
         # Raw mode has no chunks, so the bound does not apply.
@@ -352,6 +359,29 @@ class TestSealFileStreaming:
         assert report.input_len == len(MODEL)
         assert ((tmp_path / "from-fifo.mvc").read_bytes()
                 == (tmp_path / "from-file.mvc").read_bytes())
+
+    def test_size_reading_zero_is_read_whole(self, tmp_path, fips_key, fixed_nonce,
+                                             monkeypatch):
+        # A pseudo-file reports st_size 0 yet has content; it is sealed whole.
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        expected, _ = seal(MODEL, fips_key, chunk_size=4096)
+        real_fstat = os.fstat
+        monkeypatch.setattr(os, "fstat", lambda fd: types.SimpleNamespace(
+            st_mode=real_fstat(fd).st_mode, st_size=0))
+        report = seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=4096)
+        assert report.input_len == len(MODEL)
+        assert (tmp_path / "model.mvc").read_bytes() == expected
+
+    @pytest.mark.skipif(not os.path.isfile("/proc/version"), reason="needs procfs")
+    def test_procfs_file_seals(self, tmp_path, fips_key):
+        src = "/proc/version"
+        assert os.stat(src).st_size == 0
+        seal_file(src, tmp_path / "version.mvc", fips_key, write_manifest=False)
+        blob = unseal((tmp_path / "version.mvc").read_bytes(), fips_key,
+                      SealedFormat.CONTAINER)
+        with open(src, "rb") as handle:
+            assert bytes(blob.data) == handle.read() != b""
 
     def test_seal_onto_its_own_path(self, tmp_path, fips_key):
         path = tmp_path / "model.bin"
