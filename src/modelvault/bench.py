@@ -23,14 +23,13 @@ from __future__ import annotations
 import random
 import statistics
 import tempfile
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 from .container import DEFAULT_CHUNK_SIZE, SealedFormat
 from .crypto import KeyMaterial, CipherMode
 from .errors import DegenerateError, RangeError
-from .sealer import seal_file
+from .sealer import _now_ms, seal_file
 from .unsealer import unseal
 
 MIB = 1024 * 1024
@@ -97,10 +96,6 @@ class LinearFit:
     slope: float
     intercept: float
     r_squared: float
-
-
-def _now_ms() -> float:
-    return time.perf_counter_ns() / 1e6
 
 
 def _time_decrypt(sealed: bytes, key: KeyMaterial, fmt: SealedFormat) -> float:

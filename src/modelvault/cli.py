@@ -27,10 +27,8 @@ import argparse
 import json
 import os
 import secrets
-import stat
 import string
 import sys
-import time
 from pathlib import Path
 
 from .bench import (DEFAULT_REPS, DEFAULT_SEED, DEFAULT_SIZES_MB, emit_table,
@@ -38,11 +36,11 @@ from .bench import (DEFAULT_REPS, DEFAULT_SEED, DEFAULT_SIZES_MB, emit_table,
 from .container import DEFAULT_CHUNK_SIZE, SealedFormat, detect_format
 from .crypto import (PASSPHRASE_CHARS, CipherMode, KeyMaterial, derive_key,
                      load_key_hex)
-from .errors import (AuthError, DegenerateError, DigestError, IoError,
-                     KeyMismatchError, ModelVaultError, PaddingError)
+from .errors import (AuthError, DegenerateError, DigestError, KeyMismatchError,
+                     ModelVaultError, PaddingError)
 from .key_client import fetch_key
 from .key_service import KeyService, ServiceConfig, issue_token
-from .sealer import _atomic_output, seal_file
+from .sealer import _atomic_output, _now_ms, _reading, seal_file
 from .unsealer import unseal
 
 # Errors that mean "the cryptography said no", not "you held it wrong".
@@ -118,39 +116,6 @@ def _resolve_key(args) -> KeyMaterial:
                       "or set MVC_KEY / MVC_KEY_HEX")
 
 
-def _read_sealed(path: Path) -> bytes:
-    try:
-        return path.read_bytes()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}",
-                      path=str(path)) from exc
-
-
-def _write_plaintext(path: Path, data: memoryview) -> None:
-    """Write ``data`` to ``path`` without a partial-file window where possible.
-
-    A new or regular file is replaced atomically and keeps the permission
-    bits of the file it replaces (a new one is created 0600). Anything
-    else, such as a FIFO, a device or a symlink, is written through as it
-    stands, since renaming over it would replace the node itself.
-    """
-    try:
-        old = os.lstat(path)
-    except FileNotFoundError:
-        old = None
-    if old is None or stat.S_ISREG(old.st_mode):
-        with _atomic_output(path) as out:
-            out.write(data)
-        if old is not None:
-            os.chmod(path, stat.S_IMODE(old.st_mode))
-        return
-    try:
-        with open(path, "wb") as handle:
-            handle.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc.strerror or exc}", path=str(path)) from exc
-
-
 def cmd_seal(args) -> int:
     key = _resolve_key(args)
     mode = CipherMode.from_token(args.mode)
@@ -170,11 +135,13 @@ def cmd_unseal(args) -> int:
         raise _UsageError("--out writes plaintext to disk; confirm with "
                           "--allow-plaintext-output")
     key = _resolve_key(args)
-    sealed = _read_sealed(Path(args.input))
+    source = Path(args.input)
+    with _reading(source):
+        sealed = source.read_bytes()
     declared = detect_format(sealed) if args.format == "auto" else _FORMATS[args.format]
-    start = time.perf_counter_ns()
+    start = _now_ms()
     blob = unseal(sealed, key, declared)
-    unseal_ms = (time.perf_counter_ns() - start) / 1e6
+    unseal_ms = _now_ms() - start
 
     result = {
         "format": "container" if declared is SealedFormat.CONTAINER else "raw",
@@ -185,7 +152,8 @@ def cmd_unseal(args) -> int:
     try:
         if args.out:
             out = Path(args.out)
-            _write_plaintext(out, blob.data)
+            with _atomic_output(out) as handle:
+                handle.write(blob.data)
             result["out"] = str(out)
     finally:
         blob.release()
@@ -217,10 +185,10 @@ def cmd_serve_key(args) -> int:
                            passphrase=passphrase,
                            token_clock_skew=args.clock_skew)
     service = KeyService(config, host=args.host)
-    print(f"serving key on {service.url}", flush=True)
-    if args.print_token:
-        print(issue_token(config.jwt_secret, args.token_ttl), flush=True)
     try:
+        print(f"serving key on {service.url}", flush=True)
+        if args.print_token:
+            print(issue_token(config.jwt_secret, args.token_ttl), flush=True)
         service.serve_forever()
     except KeyboardInterrupt:
         pass

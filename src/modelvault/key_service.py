@@ -18,6 +18,7 @@ import binascii
 import hashlib
 import hmac
 import json
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -25,6 +26,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
 from .crypto import derive_key
+from .errors import RangeError
 
 KEY_PATH = "/v1/model-key"
 
@@ -49,8 +51,8 @@ def issue_token(jwt_secret: bytes, ttl: float, now: float | None = None) -> str:
 
     Development and test helper; real deployments bring their own issuer.
     """
-    if ttl <= 0:
-        raise ValueError(f"ttl must be positive, got {ttl}")
+    if not (math.isfinite(ttl) and ttl > 0):
+        raise ValueError(f"ttl must be positive and finite, got {ttl}")
     if now is None:
         now = time.time()
     header = _b64url_encode(json.dumps({"alg": "HS256", "typ": "JWT"},
@@ -102,6 +104,8 @@ class ServiceConfig:
     token_clock_skew: float = 0.0
 
     def __post_init__(self):
+        if not 0 <= self.listen_port <= 65535:
+            raise RangeError(f"listen_port must be between 0 and 65535, got {self.listen_port}")
         if not self.jwt_secret:
             raise ValueError("jwt_secret must be non-empty")
         derive_key(self.passphrase)  # surfaces LengthError/EncodingError early
@@ -161,6 +165,7 @@ class KeyService:
         self._server = ThreadingHTTPServer((host, config.listen_port), _Handler)
         self._server.config = config  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+        self._served = False  # shutdown() waits forever on a server never served
 
     @property
     def port(self) -> int:
@@ -173,16 +178,19 @@ class KeyService:
         return f"http://{host}:{self.port}{KEY_PATH}"
 
     def start(self) -> "KeyService":
+        self._served = True
         self._thread = threading.Thread(target=self._server.serve_forever,
                                         name="mvc-key-service", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
+        self._served = True
         self._server.serve_forever()
 
     def stop(self) -> None:
-        self._server.shutdown()
+        if self._served:
+            self._server.shutdown()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

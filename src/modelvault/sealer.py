@@ -10,13 +10,19 @@ handed on; the header, which carries the digest, is packed last.
 ``seal`` runs that loop over slices of the one artifact buffer it returns.
 ``seal_file`` streams a regular file through one reused buffer of at most
 ``chunk_size`` bytes, so it never holds more than one chunk of the model:
-it reserves the header's bytes at the start of a temp file, reads, hashes,
-encrypts and writes each chunk, then writes the header at offset 0 and
-renames the temp file over the output. A model file that changes size
-meanwhile is refused. Raw mode, and an input whose size is not known up
-front, is read whole and sealed in memory: one that is not a regular file
-(a FIFO, ``/dev/stdin``), or a regular file whose size reads 0 (a procfs
-pseudo-file); an empty file seals to the same bytes either way.
+it reserves the header's bytes at the start of the output, reads, hashes,
+encrypts and writes each chunk, then writes the header at offset 0. A
+model file that changes size meanwhile is refused. Raw mode, an input
+whose size is not known up front, and an output that cannot seek are
+handled whole in memory: an input that is not a regular file (a FIFO,
+``/dev/stdin``), or a regular file whose size reads 0 (a procfs
+pseudo-file), is read whole; an empty file seals to the same bytes
+either way.
+
+Every output (the artifact, its manifest, ``mvc unseal --out``) goes
+through ``_atomic_output``: a new or regular path is replaced atomically
+and keeps its mode; a FIFO, device or symlink is written through. As
+that truncates, ``seal_file`` refuses a symlink to the model itself.
 
 Timing split mirrors the two-column reporting convention this toolkit
 benchmarks against, with the digest timed on its own:
@@ -27,7 +33,7 @@ benchmarks against, with the digest timed on its own:
   the CTR work on the chunks.
 * ``storage_ms`` -- for ``seal_file``, the writes of the sealed bytes
   (chunk by chunk when streamed, then the header) plus the flush to the
-  OS; temp-file creation and the rename are not counted. 0 for ``seal``.
+  OS; opening the output and the rename are not counted. 0 for ``seal``.
 
 Reading the model file is in none of the three.
 """
@@ -155,19 +161,19 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
     """
     nonce = secrets.token_bytes(NONCE_BYTES)
     hasher = hashlib.sha256()
-    hash_ns = crypt_ns = emit_ns = 0
+    hash_ms = crypt_ms = emit_ms = 0.0
     for index, span in enumerate(chunk_slices(size, chunk_size)):
         chunk = next_chunk(span)
-        t0 = time.perf_counter_ns()
+        t0 = _now_ms()
         hasher.update(chunk)
-        t1 = time.perf_counter_ns()
+        t1 = _now_ms()
         ctr_crypt(chunk, key, nonce, index, out=chunk)
-        t2 = time.perf_counter_ns()
+        t2 = _now_ms()
         if emit is not None:
             emit(chunk)
-            emit_ns += time.perf_counter_ns() - t2
-        hash_ns += t1 - t0
-        crypt_ns += t2 - t1
+            emit_ms += _now_ms() - t2
+        hash_ms += t1 - t0
+        crypt_ms += t2 - t1
     digest = hasher.digest()
     header = ContainerHeader(
         mode=CipherMode.CHUNKED_CTR,
@@ -177,7 +183,7 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
         chunk_size=chunk_size,
         plaintext_digest=digest,
     )
-    return encode_header(header), digest, hash_ns / 1e6, crypt_ns / 1e6, emit_ns / 1e6
+    return encode_header(header), digest, hash_ms, crypt_ms, emit_ms
 
 
 def seal_file(
@@ -188,12 +194,13 @@ def seal_file(
     chunk_size: int = DEFAULT_CHUNK_SIZE,
     write_manifest: bool = True,
 ) -> SealReport:
-    """Seal a model file to disk, atomically, and write its manifest.
+    """Seal a model file to disk and write its manifest.
 
-    The sealed bytes land at output_path via a temp file and rename, so a
-    crash never leaves a truncated artifact. The manifest goes to
-    ``<output_path>.manifest.json``. A regular model file is sealed in
-    container mode one chunk at a time; see the module docstring.
+    A new or regular output_path is replaced via a temp file and rename,
+    so a crash never leaves a truncated artifact; anything else is written
+    through. The manifest goes to ``<output_path>.manifest.json``. A
+    regular model file is sealed in container mode one chunk at a time;
+    see the module docstring.
     """
     _check_chunk_size(mode, chunk_size)
     input_path = Path(input_path)
@@ -203,14 +210,19 @@ def seal_file(
     with source:
         with _reading(input_path):
             info = os.fstat(source.fileno())
-        if mode is CipherMode.CHUNKED_CTR and stat.S_ISREG(info.st_mode) and info.st_size:
-            report = _stream_container(source, info.st_size, input_path, output_path,
-                                       key, chunk_size)
-        else:
-            with _reading(input_path):
-                model_bytes = source.readall()
-            sealed, report = seal(model_bytes, key, mode, chunk_size)
-            with _atomic_output(output_path) as out:
+        with contextlib.suppress(OSError):  # a dangling link is not the model
+            if output_path.is_symlink() and os.path.samestat(os.stat(output_path), info):
+                raise IoError(f"cannot write {output_path}: it is a link to the model "
+                              f"file {input_path}", path=str(output_path))
+        with _atomic_output(output_path) as out:
+            if (mode is CipherMode.CHUNKED_CTR and stat.S_ISREG(info.st_mode)
+                    and info.st_size and out.seekable()):
+                report = _stream_container(source, info.st_size, input_path, out,
+                                           key, chunk_size)
+            else:
+                with _reading(input_path):
+                    model_bytes = source.readall()
+                sealed, report = seal(model_bytes, key, mode, chunk_size)
                 start = _now_ms()
                 out.write(sealed)
                 out.flush()
@@ -225,21 +237,20 @@ def seal_file(
 
 @contextlib.contextmanager
 def _reading(path: Path):
-    """Raise an OSError from reading the model file as IoError."""
+    """Raise an OSError from reading ``path`` as IoError."""
     try:
         yield
     except OSError as exc:
-        raise IoError(f"cannot read model file {path}: {exc.strerror or exc}",
-                      path=str(path)) from exc
+        raise IoError(f"cannot read {path}: {exc.strerror or exc}", path=str(path)) from exc
 
 
 def _changed_error(path: Path) -> IoError:
     return IoError(f"model file {path} changed while it was being sealed", path=str(path))
 
 
-def _stream_container(source, size: int, input_path: Path, output_path: Path,
+def _stream_container(source, size: int, input_path: Path, out,
                       key: KeyMaterial, chunk_size: int) -> SealReport:
-    """Seal ``size`` bytes from ``source`` through one reused chunk buffer."""
+    """Seal ``size`` bytes from ``source`` into seekable ``out`` through one chunk buffer."""
     buf = bytearray(min(size, chunk_size))
     view = memoryview(buf)
 
@@ -256,18 +267,17 @@ def _stream_container(source, size: int, input_path: Path, output_path: Path,
 
     head_len = header_len(chunk_count_for(size, chunk_size))
     try:
-        with _atomic_output(output_path) as out:
-            out.seek(head_len)
-            head, digest, hash_ms, encrypt_ms, write_ms = _seal_chunks(
-                size, key, chunk_size, read_chunk, out.write)
-            with _reading(input_path):
-                if source.read(1):
-                    raise _changed_error(input_path)
-            start = _now_ms()
-            out.seek(0)
-            out.write(head)
-            out.flush()
-            storage_ms = write_ms + _now_ms() - start
+        out.seek(head_len)
+        head, digest, hash_ms, encrypt_ms, write_ms = _seal_chunks(
+            size, key, chunk_size, read_chunk, out.write)
+        with _reading(input_path):
+            if source.read(1):
+                raise _changed_error(input_path)
+        start = _now_ms()
+        out.seek(0)
+        out.write(head)
+        out.flush()
+        storage_ms = write_ms + _now_ms() - start
     finally:
         _wipe(buf)
     return SealReport(
@@ -283,24 +293,36 @@ def _stream_container(source, size: int, input_path: Path, output_path: Path,
 
 @contextlib.contextmanager
 def _atomic_output(path: Path):
-    """Yield a binary file that replaces ``path`` only if the block succeeds.
+    """Yield a binary file whose contents end up at ``path``.
 
-    The file is a temp file beside ``path``, renamed over it after the
-    block; on any exception, interrupts included, the temp file is removed
-    and ``path`` is left as it was. An OSError is raised as IoError.
+    A new or regular ``path`` is written through a temp file beside it,
+    which takes the permission bits of the file it replaces (a new file
+    stays 0600) and is renamed over ``path`` after the block; on any
+    exception, interrupts included, the temp file is removed and ``path``
+    is left as it was. Anything else, such as a FIFO, a device or a
+    symlink, is opened and written through as it stands, since renaming
+    over it would replace the node itself. An OSError is raised as IoError.
     """
+    tmp_name = None
     try:
+        try:
+            old = os.lstat(path)
+        except FileNotFoundError:
+            old = None
+        if old is not None and not stat.S_ISREG(old.st_mode):
+            with open(path, "wb") as handle:
+                yield handle
+            return
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
-    except OSError as exc:
-        raise IoError(f"cannot create output in {path.parent}: {exc.strerror or exc}",
-                      path=str(path)) from exc
-    try:
         with os.fdopen(fd, "wb") as handle:
+            if old is not None:
+                os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
             yield handle
         os.replace(tmp_name, path)
     except BaseException as exc:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp_name)
+        if tmp_name is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp_name)
         if isinstance(exc, OSError):
             raise IoError(f"cannot write {path}: {exc.strerror or exc}", path=str(path)) from exc
         raise

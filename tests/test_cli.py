@@ -7,9 +7,11 @@ keygen itself and from an explicit --print-key.
 
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
+import urllib.parse
 
 import pytest
 
@@ -435,6 +437,29 @@ class TestKeyServiceCli:
         code, _, err = run(capsys, "serve-key")
         assert code == 1
         assert "MVC_JWT_SECRET" in err
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_serve_key_port_out_of_range_is_usage_error(self, capsys, monkeypatch, port):
+        monkeypatch.setenv("MVC_KEY", PASSPHRASE)
+        monkeypatch.setenv("MVC_JWT_SECRET", "cli-secret")
+        code, out, err = run(capsys, "serve-key", "--port", port)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mvc: error:") and "65535" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("ttl", ["inf", "nan", "0"])
+    def test_serve_key_bad_token_ttl_stops_the_service(self, capsys, monkeypatch, ttl):
+        monkeypatch.setenv("MVC_KEY", PASSPHRASE)
+        monkeypatch.setenv("MVC_JWT_SECRET", "cli-secret")
+        code, out, err = run(capsys, "serve-key", "--port", "0", "--print-token",
+                             "--token-ttl", ttl)
+        assert code == 1
+        assert err.startswith("mvc: error:") and "ttl" in err
+        assert "Traceback" not in err
+        port = urllib.parse.urlparse(out.split()[-1]).port
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", port), timeout=5).close()
 
     def test_serve_key_subprocess_round_trip(self, capsys, tmp_path):
         env = dict(os.environ, MVC_KEY=PASSPHRASE,

@@ -2,14 +2,16 @@
 
 import base64
 import json
+import math
 import socket
+import threading
 import time
 import urllib.error
 import urllib.request
 
 import pytest
 
-from modelvault.errors import LengthError
+from modelvault.errors import LengthError, RangeError
 from modelvault.key_service import (KEY_PATH, KeyService, ServiceConfig,
                                     _Handler, handle_key_request,
                                     issue_token, verify_token)
@@ -51,7 +53,7 @@ class TestIssueToken:
     def test_three_dot_separated_parts(self):
         assert issue_token(SECRET, 60).count(".") == 2
 
-    @pytest.mark.parametrize("ttl", [0, -1])
+    @pytest.mark.parametrize("ttl", [0, -1, math.inf, -math.inf, math.nan])
     def test_nonpositive_ttl_rejected(self, ttl):
         with pytest.raises(ValueError):
             issue_token(SECRET, ttl)
@@ -130,6 +132,14 @@ class TestServiceConfig:
     def test_empty_jwt_secret_rejected(self):
         with pytest.raises(ValueError):
             config(jwt_secret=b"")
+
+    @pytest.mark.parametrize("port", [-1, 65536, 70000])
+    def test_port_out_of_range_rejected(self, port):
+        with pytest.raises(RangeError, match="listen_port"):
+            config(listen_port=port)
+
+    def test_highest_port_accepted(self):
+        assert config(listen_port=65535).listen_port == 65535
 
     def test_repr_hides_secrets(self):
         shown = repr(config())
@@ -247,6 +257,15 @@ class TestKeyServiceHttp:
             results = list(pool.map(
                 lambda _: self.request(service.url, token)[0], range(16)))
         assert results == [200] * 16
+
+    def test_stop_without_serving_releases_the_port(self):
+        svc = KeyService(config())
+        stopper = threading.Thread(target=svc.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=5)
+        assert not stopper.is_alive()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", svc.port), timeout=5).close()
 
     def test_idle_client_is_disconnected(self, monkeypatch):
         assert _Handler.timeout is not None and _Handler.timeout > 0

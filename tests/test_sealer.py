@@ -413,3 +413,90 @@ class TestSealFileStreaming:
         assert info.value.path == str(src)
         assert _leftovers(tmp_path, "model.bin") == []
         assert buffers[0] == bytearray(MIN_CHUNK_SIZE)  # the chunk buffer is wiped
+
+
+_FORMAT_OF = {CipherMode.CHUNKED_CTR: SealedFormat.CONTAINER,
+              CipherMode.RAW_ECB_PKCS7: SealedFormat.RAW_DAT}
+
+
+class TestSealFileOutputs:
+    """A regular output is replaced atomically; any other node is written through."""
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_fifo_output_receives_the_artifact(self, tmp_path, fips_key, mode):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        report = seal_file(src, fifo, fips_key, mode=mode, chunk_size=4096,
+                           write_manifest=False)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert fifo.is_fifo()
+        assert len(received[0]) == report.output_len
+        blob = unseal(received[0], fips_key, _FORMAT_OF[mode])
+        assert bytes(blob.data) == MODEL
+
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_symlink_output_writes_its_target(self, tmp_path, fips_key, mode):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        target = tmp_path / "elsewhere" / "model.mvc"
+        target.parent.mkdir()
+        target.write_bytes(b"stale" * 10000)
+        link = tmp_path / "model.mvc"
+        link.symlink_to(target)
+        seal_file(src, link, fips_key, mode=mode, chunk_size=4096)
+        assert link.is_symlink()
+        blob = unseal(target.read_bytes(), fips_key, _FORMAT_OF[mode])
+        assert bytes(blob.data) == MODEL
+        assert _leftovers(target.parent) == ["model.mvc"]
+
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_replaced_artifact_keeps_its_mode(self, tmp_path, fips_key, mode):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        out = tmp_path / "model.mvc"
+        out.write_bytes(b"stale")
+        out.chmod(0o644)
+        seal_file(src, out, fips_key, mode=mode)
+        assert out.stat().st_mode & 0o7777 == 0o644
+        assert bytes(unseal(out.read_bytes(), fips_key, _FORMAT_OF[mode]).data) == MODEL
+
+    def test_new_artifact_is_private(self, tmp_path, fips_key):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        src.chmod(0o644)
+        out = tmp_path / "model.mvc"
+        seal_file(src, out, fips_key)
+        assert out.stat().st_mode & 0o7777 == 0o600
+        assert (tmp_path / "model.mvc.manifest.json").stat().st_mode & 0o7777 == 0o600
+
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_symlink_to_the_model_is_refused(self, tmp_path, fips_key, mode):
+        # Writing through the link would truncate the model before it is read.
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        link = tmp_path / "model.mvc"
+        link.symlink_to(src)
+        with pytest.raises(IoError, match="link to the model") as info:
+            seal_file(src, link, fips_key, mode=mode, chunk_size=4096)
+        assert info.value.path == str(link)
+        assert src.read_bytes() == MODEL
+        assert link.is_symlink()
+        assert _leftovers(tmp_path, "model.bin", "model.mvc") == []
+
+    def test_dangling_symlink_output_creates_its_target(self, tmp_path, fips_key):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        target = tmp_path / "model.real"
+        link = tmp_path / "model.mvc"
+        link.symlink_to(target)
+        seal_file(src, link, fips_key, chunk_size=4096, write_manifest=False)
+        assert link.is_symlink()
+        assert bytes(unseal(target.read_bytes(), fips_key, SealedFormat.CONTAINER).data) == MODEL
