@@ -279,7 +279,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="0 picks a free port and prints it")
     p.add_argument("--clock-skew", type=float, default=0.0,
-                   help="seconds of expiry slack for slightly stale tokens")
+                   help="seconds of expiry slack for slightly stale tokens "
+                   "(finite, at least 0)")
     p.add_argument("--print-token", action="store_true",
                    help="also mint and print one bearer token")
     p.add_argument("--token-ttl", type=float, default=3600.0)

@@ -9,6 +9,11 @@ not reveal which check failed.
 
 This is the development/test half of the key flow. It speaks plain HTTP;
 a production deployment must sit behind TLS termination.
+
+Connections are kept alive (HTTP/1.1), and each open connection holds one
+server thread until the client closes it, sends nothing for
+``_Handler.timeout`` seconds, or :meth:`KeyService.stop` ends it. Every
+request on a connection is authenticated on its own.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ import hashlib
 import hmac
 import json
 import math
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
@@ -108,6 +114,9 @@ class ServiceConfig:
             raise RangeError(f"listen_port must be between 0 and 65535, got {self.listen_port}")
         if not self.jwt_secret:
             raise ValueError("jwt_secret must be non-empty")
+        if not (math.isfinite(self.token_clock_skew) and self.token_clock_skew >= 0):
+            raise RangeError("token_clock_skew must be finite and at least 0, "
+                             f"got {self.token_clock_skew}")
         derive_key(self.passphrase)  # surfaces LengthError/EncodingError early
 
 
@@ -137,11 +146,33 @@ def handle_key_request(config: ServiceConfig, method: str, path: str,
 class _Handler(BaseHTTPRequestHandler):
     protocol_version = "HTTP/1.1"
     timeout = 10.0  # idle seconds before a silent client is dropped, freeing its thread
+    # The headers and the body leave as two writes. With Nagle's algorithm
+    # on, the body of a reply on a kept-alive connection waits for the
+    # client's delayed ACK of the headers, about 40 ms.
+    disable_nagle_algorithm = True
+
+    def setup(self):
+        super().setup()
+        server = self.server
+        with server.connections_lock:
+            server.connections.add(self.connection)
+            if server.closing:
+                _end_reading(self.connection)
+
+    def finish(self):
+        server = self.server
+        with server.connections_lock:
+            server.connections.discard(self.connection)
+        super().finish()
 
     def _respond(self):
-        config: ServiceConfig = self.server.config  # type: ignore[attr-defined]
+        server = self.server
+        if server.closing:
+            # A request read after stop() is not answered.
+            self.close_connection = True
+            return
         status, body = handle_key_request(
-            config, self.command, self.path, self.headers.get("Authorization"))
+            server.config, self.command, self.path, self.headers.get("Authorization"))
         encoded = json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -157,13 +188,38 @@ class _Handler(BaseHTTPRequestHandler):
         pass
 
 
+def _end_reading(conn: socket.socket) -> None:
+    """Wake the handler blocked reading ``conn``; a reply in flight still leaves."""
+    try:
+        conn.shutdown(socket.SHUT_RD)
+    except OSError:
+        pass  # the client has gone already
+
+
+class _Server(ThreadingHTTPServer):
+    """A threading HTTP server that tracks its open connections."""
+
+    def __init__(self, address: tuple[str, int], config: ServiceConfig):
+        super().__init__(address, _Handler)
+        self.config = config
+        self.connections: set[socket.socket] = set()
+        self.connections_lock = threading.Lock()
+        self.closing = False
+
+    def end_connections(self) -> None:
+        """Answer no further request and drop every open connection."""
+        with self.connections_lock:
+            self.closing = True
+            for conn in self.connections:
+                _end_reading(conn)
+
+
 class KeyService:
     """The HTTP server wrapper: start in a daemon thread, or serve inline."""
 
     def __init__(self, config: ServiceConfig, host: str = "127.0.0.1"):
         self.config = config
-        self._server = ThreadingHTTPServer((host, config.listen_port), _Handler)
-        self._server.config = config  # type: ignore[attr-defined]
+        self._server = _Server((host, config.listen_port), config)
         self._thread: threading.Thread | None = None
         self._served = False  # shutdown() waits forever on a server never served
 
@@ -189,8 +245,10 @@ class KeyService:
         self._server.serve_forever()
 
     def stop(self) -> None:
+        """Stop accepting and end every open connection; a reply in flight still leaves."""
         if self._served:
             self._server.shutdown()
+        self._server.end_connections()
         self._server.server_close()
         if self._thread is not None:
             self._thread.join(timeout=5)

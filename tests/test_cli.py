@@ -448,6 +448,18 @@ class TestKeyServiceCli:
         assert err.startswith("mvc: error:") and "65535" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("skew", ["inf", "nan", "-1"])
+    def test_serve_key_bad_clock_skew_is_usage_error(self, capsys, monkeypatch, skew):
+        monkeypatch.setenv("MVC_KEY", PASSPHRASE)
+        monkeypatch.setenv("MVC_JWT_SECRET", "cli-secret")
+        monkeypatch.setattr(KeyService, "serve_forever",
+                            lambda self: pytest.fail("serve-key started serving"))
+        code, out, err = run(capsys, "serve-key", "--port", "0", "--clock-skew", skew)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mvc: error:") and "token_clock_skew" in err
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("ttl", ["inf", "nan", "0"])
     def test_serve_key_bad_token_ttl_stops_the_service(self, capsys, monkeypatch, ttl):
         monkeypatch.setenv("MVC_KEY", PASSPHRASE)

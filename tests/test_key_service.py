@@ -1,6 +1,7 @@
 """Unit and integration tests for the JWT-gated key endpoint."""
 
 import base64
+import http.client
 import json
 import math
 import socket
@@ -137,6 +138,11 @@ class TestServiceConfig:
     def test_port_out_of_range_rejected(self, port):
         with pytest.raises(RangeError, match="listen_port"):
             config(listen_port=port)
+
+    @pytest.mark.parametrize("skew", [math.inf, math.nan, -1.0])
+    def test_bad_clock_skew_rejected(self, skew):
+        with pytest.raises(RangeError, match="token_clock_skew"):
+            config(token_clock_skew=skew)
 
     def test_highest_port_accepted(self):
         assert config(listen_port=65535).listen_port == 65535
@@ -275,3 +281,39 @@ class TestKeyServiceHttp:
             start = time.monotonic()
             assert idle.recv(1) == b""  # closed by the server, nothing sent
             assert time.monotonic() - start < 5
+
+
+class TestKeptAliveConnections:
+    def get(self, conn, token):
+        conn.request("GET", KEY_PATH, headers={"Authorization": f"Bearer {token}"})
+        with conn.getresponse() as resp:
+            return resp.status, json.loads(resp.read())
+
+    def test_one_connection_serves_many_requests(self):
+        token = issue_token(SECRET, 60)
+        with KeyService(config()) as svc:
+            conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+            try:
+                for _ in range(3):
+                    assert self.get(conn, token) == (200, {"key": PASSPHRASE})
+                assert self.get(conn, "bad-token") == (401, {"error": "unauthorized"})
+                assert len(svc._server.connections) == 1
+            finally:
+                conn.close()
+            deadline = time.monotonic() + 5
+            while svc._server.connections and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert not svc._server.connections  # the client closing ends it
+
+    def test_stop_ends_kept_alive_connections(self):
+        token = issue_token(SECRET, 60)
+        svc = KeyService(config()).start()
+        conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+        try:
+            assert self.get(conn, token)[0] == 200
+            svc.stop()
+            with pytest.raises(ConnectionError):  # RemoteDisconnected is one
+                self.get(conn, token)  # a stopped service answers nothing
+        finally:
+            conn.close()
+            svc.stop()
