@@ -2,8 +2,8 @@
 
 Measures the three phases separately on synthetic models:
 
-* ``encrypt_ms`` -- encrypting the model (``seal_file`` streams a container
-  chunk by chunk, so this is the CTR work; see ``modelvault.sealer``)
+* ``encrypt_ms`` -- the cipher time of ``seal_file``'s report: the CTR
+  calls on a container's chunks, or the ECB encryption of a raw seal
 * ``storage_ms`` -- writing the sealed bytes to disk (writes + flush)
 * ``decrypt_ms`` -- recovering the plaintext from the sealed bytes
 

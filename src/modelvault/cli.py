@@ -257,7 +257,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("unseal", help="decrypt a sealed artifact in memory")
     p.add_argument("input", help="sealed artifact")
     p.add_argument("--format", choices=["auto", "raw", "container"],
-                   default="auto")
+                   default="auto",
+                   help="auto reads anything that starts with MVC1 as a "
+                   "container; use raw for a .dat that begins with those bytes")
     p.add_argument("--workers", type=_workers, default=None, help=_WORKERS_HELP)
     p.add_argument("--verify-only", action="store_true",
                    help="decrypt in memory and print the digest only "

@@ -206,9 +206,9 @@ def decode(data: bytes) -> SealedContainer:
     if zlib.crc32(body) != stored_crc:
         raise CrcError("header_crc does not validate")
     try:
-        mode = CipherMode.from_wire(mode_byte)
+        mode = CipherMode(mode_byte)
     except ValueError as exc:
-        raise InvariantError(str(exc)) from exc
+        raise InvariantError(f"unknown cipher mode byte {mode_byte}") from exc
 
     table_end = header_len(chunk_count)
     if len(data) < table_end:
@@ -248,13 +248,10 @@ def decode(data: bytes) -> SealedContainer:
 
 
 def detect_format(data: bytes) -> SealedFormat:
-    """Best-effort classification of a sealed artifact.
+    """CONTAINER for anything that starts with the magic, else RAW_DAT.
 
-    CONTAINER only when the magic matches and the header CRC validates;
-    anything else is presumed to be a raw ``.dat``. Callers that know the
-    format out of band should say so instead of relying on this heuristic.
+    A damaged or newer container is still a container, so ``decode``
+    names its fault. A raw ``.dat`` that happens to begin with the magic
+    (odds 2^-32) must be declared raw by its caller.
     """
-    if len(data) >= HEADER_SIZE and data[:4] == MAGIC:
-        if zlib.crc32(data[: _HEADER_BODY.size]) == _HEADER_CRC.unpack_from(data, _HEADER_BODY.size)[0]:
-            return SealedFormat.CONTAINER
-    return SealedFormat.RAW_DAT
+    return SealedFormat.CONTAINER if data[:4] == MAGIC else SealedFormat.RAW_DAT

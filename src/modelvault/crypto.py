@@ -60,13 +60,6 @@ class CipherMode(Enum):
                 return mode
         raise ValueError(f"unknown cipher mode {token!r}")
 
-    @classmethod
-    def from_wire(cls, byte: int) -> "CipherMode":
-        for mode in cls:
-            if mode.value == byte:
-                return mode
-        raise ValueError(f"unknown cipher mode byte {byte}")
-
 
 @dataclass(frozen=True)
 class KeyMaterial:

@@ -37,6 +37,8 @@ from .errors import RangeError
 KEY_PATH = "/v1/model-key"
 
 _UNAUTHORIZED = (401, {"error": "unauthorized"})
+# Seconds between the serving loop's checks for stop(); stop() waits up to one.
+_POLL_INTERVAL = 0.05
 
 
 def _b64url_encode(raw: bytes) -> str:
@@ -236,13 +238,14 @@ class KeyService:
     def start(self) -> "KeyService":
         self._served = True
         self._thread = threading.Thread(target=self._server.serve_forever,
+                                        args=(_POLL_INTERVAL,),
                                         name="mvc-key-service", daemon=True)
         self._thread.start()
         return self
 
     def serve_forever(self) -> None:
         self._served = True
-        self._server.serve_forever()
+        self._server.serve_forever(_POLL_INTERVAL)
 
     def stop(self) -> None:
         """Stop accepting and end every open connection; a reply in flight still leaves."""

@@ -4,33 +4,35 @@ Raw mode emits the bare ECB/PKCS#7 ciphertext and nothing else, so the
 output is byte-identical to the classic one-shot pipeline for the same key
 and input. Container mode draws a fresh random file nonce and runs one
 per-chunk loop for both entry points: each plaintext chunk is hashed into
-the running SHA-256, encrypted in place under its own counter stream, and
-handed on; the header, which carries the digest, is packed last.
+the running SHA-256, encrypted under its own counter stream, and handed
+on; the header, which carries the digest, is packed last.
 
-``seal`` runs that loop over slices of the one artifact buffer it returns.
-``seal_file`` streams a regular file through one reused buffer of at most
-``chunk_size`` bytes, so it never holds more than one chunk of the model:
-it reserves the header's bytes at the start of the output, reads, hashes,
-encrypts and writes each chunk, then writes the header at offset 0. A
-model file that changes size meanwhile is refused. Raw mode, an input
-whose size is not known up front, and an output that cannot seek are
-handled whole in memory: an input that is not a regular file (a FIFO,
-``/dev/stdin``), or a regular file whose size reads 0 (a procfs
-pseudo-file), is read whole; an empty file seals to the same bytes
-either way.
+``seal`` encrypts each chunk from the model straight into the one
+artifact buffer it returns, so no plaintext is staged there.
+``seal_file`` streams a regular file through one reused buffer of at
+most ``chunk_size`` bytes, so it never holds more than one chunk of the
+model: it reserves the header's bytes at the start of the output, reads,
+hashes, encrypts in place and writes each chunk, then writes the header
+at offset 0. A model file that changes size meanwhile is refused.
+Raw mode, an input whose size is not known up front, and an output that
+cannot seek are handled whole in memory: an input that is not a regular
+file (a FIFO, ``/dev/stdin``), or a regular file whose size reads 0 (a
+procfs pseudo-file), is read whole; an empty file seals to the same
+bytes either way.
 
 Every output (the artifact, its manifest, ``mvc unseal --out``) goes
 through ``_atomic_output``: a new or regular path is replaced atomically
 and keeps its mode; a FIFO, device or symlink is written through. As
-that truncates, ``seal_file`` refuses a symlink to the model itself.
+that truncates, ``seal_file`` refuses a symlink to the model itself. With
+a manifest, it refuses, before opening anything, an output that is
+neither new nor, links followed, a regular file, such as a FIFO.
 
 Timing split mirrors the two-column reporting convention this toolkit
 benchmarks against, with the digest timed on its own:
 
 * ``hash_ms`` -- SHA-256 of the plaintext.
-* ``encrypt_ms`` -- for ``seal``, producing the sealed bytes in memory
-  (framing and encryption, not hashing). For a streamed ``seal_file``,
-  the CTR work on the chunks.
+* ``encrypt_ms`` -- the cipher work: the CTR calls on the chunks of a
+  container, or the ECB/PKCS#7 encryption of a raw seal.
 * ``storage_ms`` -- for ``seal_file``, the writes of the sealed bytes
   (chunk by chunk when streamed, then the header) plus the flush to the
   OS; opening the output and the rename are not counted. 0 for ``seal``.
@@ -115,25 +117,20 @@ def seal(
     """
     _check_chunk_size(mode, chunk_size)
     size = len(model_bytes)
-    start = _now_ms()
     if mode is CipherMode.RAW_ECB_PKCS7:
+        start = _now_ms()
         digest = sha256(model_bytes)
         hash_ms = _now_ms() - start
         sealed = ecb_encrypt(model_bytes, key)
+        encrypt_ms = _now_ms() - start - hash_ms
     else:
         head_len = header_len(chunk_count_for(size, chunk_size))
         sealed = bytearray(head_len + size)
         payload = memoryview(sealed)[head_len:]
         source = memoryview(model_bytes)
-
-        def frame(span: slice) -> memoryview:
-            chunk = payload[span]
-            chunk[:] = source[span]
-            return chunk
-
-        head, digest, hash_ms, _, _ = _seal_chunks(size, key, chunk_size, frame)
+        head, digest, hash_ms, encrypt_ms, _ = _seal_chunks(
+            size, key, chunk_size, lambda span: (source[span], payload[span]))
         sealed[:head_len] = head
-    encrypt_ms = _now_ms() - start - hash_ms
 
     report = SealReport(
         input_len=size,
@@ -152,8 +149,9 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
     """The one container seal loop, shared by seal and seal_file.
 
     For each span of ``chunk_slices(size, chunk_size)``, ``next_chunk(span)``
-    returns that chunk's plaintext in a writable buffer; the loop
-    hashes it, encrypts it in place, and passes the ciphertext to
+    returns ``(plaintext, out)``: that chunk's plaintext and a writable
+    buffer of the same length, which may be the plaintext's own. The loop
+    hashes the plaintext, encrypts it into ``out``, and passes ``out`` to
     ``emit``, if given, before asking for the next chunk.
 
     Returns the packed header and chunk table, the plaintext digest, and
@@ -163,14 +161,14 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
     hasher = hashlib.sha256()
     hash_ms = crypt_ms = emit_ms = 0.0
     for index, span in enumerate(chunk_slices(size, chunk_size)):
-        chunk = next_chunk(span)
+        plaintext, out = next_chunk(span)
         t0 = _now_ms()
-        hasher.update(chunk)
+        hasher.update(plaintext)
         t1 = _now_ms()
-        ctr_crypt(chunk, key, nonce, index, out=chunk)
+        ctr_crypt(plaintext, key, nonce, index, out=out)
         t2 = _now_ms()
         if emit is not None:
-            emit(chunk)
+            emit(out)
             emit_ms += _now_ms() - t2
         hash_ms += t1 - t0
         crypt_ms += t2 - t1
@@ -200,11 +198,17 @@ def seal_file(
     so a crash never leaves a truncated artifact; anything else is written
     through. The manifest goes to ``<output_path>.manifest.json``. A
     regular model file is sealed in container mode one chunk at a time;
-    see the module docstring.
+    see the module docstring, also for the outputs a manifest rules out.
     """
     _check_chunk_size(mode, chunk_size)
     input_path = Path(input_path)
     output_path = Path(output_path)
+    if write_manifest:
+        with contextlib.suppress(OSError):  # a new path, or a dangling link to one
+            if not stat.S_ISREG(os.stat(output_path).st_mode):
+                raise IoError(f"cannot write a manifest beside {output_path}: it is not "
+                              "a regular file; seal to it without a manifest",
+                              path=str(output_path))
     with _reading(input_path):
         source = open(input_path, "rb", buffering=0)
     with source:
@@ -254,7 +258,7 @@ def _stream_container(source, size: int, input_path: Path, out,
     buf = bytearray(min(size, chunk_size))
     view = memoryview(buf)
 
-    def read_chunk(span: slice) -> memoryview:
+    def read_chunk(span: slice) -> tuple[memoryview, memoryview]:
         chunk = view[: span.stop - span.start]
         filled = 0
         with _reading(input_path):
@@ -263,7 +267,7 @@ def _stream_container(source, size: int, input_path: Path, out,
                 if not n:
                     raise _changed_error(input_path)
                 filled += n
-        return chunk
+        return chunk, chunk
 
     head_len = header_len(chunk_count_for(size, chunk_size))
     try:

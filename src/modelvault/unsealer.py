@@ -35,7 +35,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .container import MAGIC, SealedContainer, SealedFormat, chunk_slices, decode
+from .container import SealedContainer, SealedFormat, chunk_slices, decode, detect_format
 from .crypto import CipherMode, KeyMaterial, _wipe, ctr_crypt, ecb_decrypt, sha256
 from .errors import CancelledError, DigestError, KeyMismatchError, ModeError, RangeError
 
@@ -100,13 +100,11 @@ def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memor
 def _open_container(sealed: bytes, key: KeyMaterial) -> SealedContainer:
     """Decode and fingerprint-check; no payload bytes are decrypted here.
 
-    Inputs that do not even start with the container magic get ModeError
-    (a raw .dat handed to the chunked path). Anything magic-prefixed is
-    treated as a container, so corruption surfaces as the precise
-    CrcError/VersionError/TruncationError instead of being misread as a
-    format mix-up.
+    Whatever ``detect_format`` calls raw gets ModeError (a raw .dat handed
+    to the chunked path); anything it calls a container goes to ``decode``,
+    which names the corrupt region.
     """
-    if sealed[:4] != MAGIC:
+    if detect_format(sealed) is not SealedFormat.CONTAINER:
         raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
     parsed = decode(sealed)
     if parsed.header.key_fingerprint != key.fingerprint:

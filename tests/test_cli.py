@@ -291,6 +291,28 @@ class TestUnsealCli:
                          "--passphrase", PASSPHRASE)
         assert code == 2
 
+    @pytest.mark.parametrize("model_len", [1004, 1000],
+                             ids=["multiple-of-16", "not-multiple-of-16"])
+    def test_damaged_header_is_named_by_the_default_format(self, capsys, tmp_path,
+                                                           model_len):
+        # A container stays a container when its header is damaged: the
+        # default --format reports the CRC failure, not a raw padding or
+        # length failure.
+        model = tmp_path / "small.bin"
+        model.write_bytes(MODEL[:model_len])
+        sealed = tmp_path / "small.mvc"
+        assert main(["seal", str(model), "--out", str(sealed), "--no-manifest",
+                     "--passphrase", PASSPHRASE]) == 0
+        capsys.readouterr()
+        data = bytearray(sealed.read_bytes())
+        assert (len(data) % 16 == 0) == (model_len == 1004)
+        data[30] ^= 0x01  # inside chunk_size, which the header CRC covers
+        sealed.write_bytes(bytes(data))
+        code, _, err = run(capsys, "unseal", str(sealed), "--passphrase", PASSPHRASE)
+        assert code == 1
+        assert "header_crc" in err
+        assert "padding" not in err
+
     def test_explicit_format_container(self, capsys, sealed_file):
         code, _, _ = run(capsys, "unseal", str(sealed_file),
                          "--format", "container", "--passphrase", PASSPHRASE)

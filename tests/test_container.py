@@ -226,6 +226,14 @@ class TestDecode:
         with pytest.raises(InvariantError, match="chunk_count"):
             decode(bytes(encoded))
 
+    @pytest.mark.parametrize("mode_byte", [0, 255], ids=["raw", "unknown"])
+    def test_crc_refixed_mode_byte_rejected(self, mode_byte):
+        # A v1 container is CTR only; raw (0) has no header, 255 is no mode.
+        encoded = bytearray(encode(make_container()))
+        encoded[6] = mode_byte
+        with pytest.raises(InvariantError):
+            decode(bytes(refix_crc(encoded)))
+
     @pytest.mark.parametrize("count", [2, (1 << 32) - 1])
     def test_huge_claimed_length_is_truncation_without_a_table(self, monkeypatch,
                                                                count):
@@ -255,14 +263,17 @@ class TestDetectFormat:
 
     def test_empty_and_short_are_raw(self):
         assert detect_format(b"") is SealedFormat.RAW_DAT
-        assert detect_format(b"MVC1") is SealedFormat.RAW_DAT
+        assert detect_format(b"MVC1") is SealedFormat.CONTAINER
 
     @pytest.mark.parametrize("seed", [101, 102, 103])
     def test_random_bytes_are_raw(self, seed):
         data = random.Random(seed).randbytes(1000)
         assert detect_format(data) is SealedFormat.RAW_DAT
 
-    def test_magic_with_bad_crc_is_raw(self):
+    def test_magic_with_bad_crc_is_container(self):
+        # decode, not detection, judges the CRC and names the failure.
         encoded = bytearray(encode(make_container()))
         encoded[30] ^= 0x01
-        assert detect_format(bytes(encoded)) is SealedFormat.RAW_DAT
+        assert detect_format(bytes(encoded)) is SealedFormat.CONTAINER
+        with pytest.raises(CrcError):
+            decode(bytes(encoded))

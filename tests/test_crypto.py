@@ -340,11 +340,3 @@ class TestCipherMode:
     def test_from_token_rejects_unknown(self):
         with pytest.raises(ValueError):
             CipherMode.from_token("cbc")
-
-    def test_from_wire_round_trip(self):
-        for mode in CipherMode:
-            assert CipherMode.from_wire(mode.value) is mode
-
-    def test_from_wire_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            CipherMode.from_wire(255)

@@ -273,6 +273,13 @@ class TestKeyServiceHttp:
         with pytest.raises(ConnectionRefusedError):
             socket.create_connection(("127.0.0.1", svc.port), timeout=5).close()
 
+    def test_started_idle_service_stops_within_one_short_poll(self):
+        svc = KeyService(config()).start()
+        time.sleep(0.1)  # the serving loop is now inside a poll
+        start = time.monotonic()
+        svc.stop()
+        assert time.monotonic() - start < 0.25
+
     def test_idle_client_is_disconnected(self, monkeypatch):
         assert _Handler.timeout is not None and _Handler.timeout > 0
         monkeypatch.setattr(_Handler, "timeout", 0.2)  # keep the test short

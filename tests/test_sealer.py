@@ -99,6 +99,22 @@ class TestSealContainer:
         sealed, _ = seal(model, fips_key, chunk_size=4096)
         assert sha256(sealed).hex() == digest_hex
 
+    def test_artifact_never_holds_the_plaintext(self, fips_key, monkeypatch):
+        # Each chunk is encrypted from the model straight into the artifact;
+        # no copy of the plaintext is staged in the output first.
+        real_ctr_crypt = sealer_mod.ctr_crypt
+        seen = []
+
+        def checked(data, key, nonce, index, out=None):
+            assert bytes(out) != bytes(data), f"chunk {index} was staged in the artifact"
+            seen.append(index)
+            return real_ctr_crypt(data, key, nonce, index, out=out)
+
+        monkeypatch.setattr(sealer_mod, "ctr_crypt", checked)
+        sealed, _ = seal(MODEL, fips_key, chunk_size=4096)
+        assert seen == [0, 1, 2]
+        assert bytes(unseal(sealed, fips_key, SealedFormat.CONTAINER).data) == MODEL
+
     def test_nonce_is_fresh_per_seal(self, fips_key):
         # Same input, same key: the payloads must still differ.
         a, _ = seal(MODEL, fips_key)
@@ -441,6 +457,36 @@ class TestSealFileOutputs:
         assert len(received[0]) == report.output_len
         blob = unseal(received[0], fips_key, _FORMAT_OF[mode])
         assert bytes(blob.data) == MODEL
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link-to-fifo"])
+    def test_manifest_beside_a_fifo_is_refused_up_front(self, tmp_path, fips_key,
+                                                        monkeypatch, via_link):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        out = fifo
+        if via_link:
+            out = tmp_path / "model.mvc"
+            out.symlink_to(fifo)
+
+        def no_open(path, *args, **kwargs):
+            # Opening the FIFO for writing would block with no reader.
+            raise AssertionError(f"{path} was opened before the output was refused")
+
+        monkeypatch.setattr(sealer_mod, "open", no_open, raising=False)
+        with pytest.raises(IoError, match="manifest") as info:
+            seal_file(src, out, fips_key, chunk_size=4096)
+        assert info.value.path == str(out)
+        assert fifo.is_fifo()
+        assert not list(tmp_path.glob("*.manifest.json"))
+        # Nothing was written into the FIFO: a non-blocking read finds it empty.
+        fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            assert os.read(fd, 1) == b""
+        finally:
+            os.close(fd)
 
     @pytest.mark.parametrize("mode", list(CipherMode))
     def test_symlink_output_writes_its_target(self, tmp_path, fips_key, mode):
