@@ -24,6 +24,7 @@ secrets to stdout.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import secrets
@@ -33,15 +34,15 @@ from pathlib import Path
 
 from .bench import (DEFAULT_REPS, DEFAULT_SEED, DEFAULT_SIZES_MB, emit_table,
                     fit_linear, format_fit, run_bench)
-from .container import DEFAULT_CHUNK_SIZE, SealedFormat, detect_format
+from .container import DEFAULT_CHUNK_SIZE, SealedFormat
 from .crypto import (PASSPHRASE_CHARS, CipherMode, KeyMaterial, derive_key,
                      load_key_hex)
 from .errors import (AuthError, DegenerateError, DigestError, KeyMismatchError,
                      ModelVaultError, PaddingError)
 from .key_client import fetch_key
 from .key_service import KeyService, ServiceConfig, issue_token
-from .sealer import _atomic_output, _now_ms, _reading, seal_file
-from .unsealer import unseal
+from .sealer import _atomic_output, _now_ms, seal_file
+from .unsealer import unseal_file
 
 # Errors that mean "the cryptography said no", not "you held it wrong".
 _CRYPTO_ERRORS = (KeyMismatchError, PaddingError, DigestError, AuthError)
@@ -116,6 +117,18 @@ def _resolve_key(args) -> KeyMaterial:
                       "or set MVC_KEY / MVC_KEY_HEX")
 
 
+def _print_report(result: dict, out) -> None:
+    """Print a command's JSON report; to stderr if ``out`` is stdout itself.
+
+    So ``--out /dev/stdout`` carries the artifact or plaintext alone.
+    """
+    to_stdout = True
+    if out:
+        with contextlib.suppress(OSError):  # no such path, or no fd 1
+            to_stdout = not os.path.samestat(os.stat(out), os.fstat(1))
+    print(json.dumps(result), file=sys.stdout if to_stdout else sys.stderr)
+
+
 def cmd_seal(args) -> int:
     key = _resolve_key(args)
     mode = CipherMode.from_token(args.mode)
@@ -124,7 +137,7 @@ def cmd_seal(args) -> int:
     report = seal_file(Path(args.input), out, key, mode=mode,
                        chunk_size=args.chunk_size,
                        write_manifest=not args.no_manifest)
-    print(json.dumps({**report.manifest(), "out": str(out)}))
+    _print_report({**report.manifest(), "out": str(out)}, out)
     return 0
 
 
@@ -135,16 +148,12 @@ def cmd_unseal(args) -> int:
         raise _UsageError("--out writes plaintext to disk; confirm with "
                           "--allow-plaintext-output")
     key = _resolve_key(args)
-    source = Path(args.input)
-    with _reading(source):
-        sealed = source.read_bytes()
-    declared = detect_format(sealed) if args.format == "auto" else _FORMATS[args.format]
     start = _now_ms()
-    blob = unseal(sealed, key, declared)
+    blob = unseal_file(args.input, key, _FORMATS.get(args.format))
     unseal_ms = _now_ms() - start
 
     result = {
-        "format": "container" if declared is SealedFormat.CONTAINER else "raw",
+        "format": "container" if blob.source_mode is CipherMode.CHUNKED_CTR else "raw",
         "plaintext_len": len(blob),
         "sha256_hex": blob.digest.hex(),
         "unseal_ms": round(unseal_ms, 3),
@@ -157,7 +166,7 @@ def cmd_unseal(args) -> int:
             result["out"] = str(out)
     finally:
         blob.release()
-    print(json.dumps(result))
+    _print_report(result, args.out)
     return 0
 
 

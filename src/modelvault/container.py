@@ -30,9 +30,10 @@ except the last. An empty plaintext still carries one (empty) chunk. So
 plaintext_len and chunk_size alone fix chunk_count and every table entry:
 ``chunk_slices`` is the one definition of that layout, the sealer and the
 unsealer both walk it, and ``decode`` rejects a stored count or table that
-differs from it. The mode byte keeps a slot for the raw layout, but a raw
-seal is by definition headerless, so a v1 container always says
-CHUNKED_CTR.
+differs from it. ``encode_header`` packs and ``decode`` parses only what
+precedes the payload; the payload is streamed chunk by chunk around them.
+The mode byte keeps a slot for the raw layout, but a raw seal is by
+definition headerless, so a v1 container always says CHUNKED_CTR.
 """
 
 from __future__ import annotations
@@ -91,12 +92,6 @@ class ContainerHeader:
         return chunk_count_for(self.plaintext_len, self.chunk_size)
 
 
-@dataclass(frozen=True)
-class SealedContainer:
-    header: ContainerHeader
-    payload: bytes | memoryview  # decode() hands back a view over its input
-
-
 def chunk_count_for(plaintext_len: int, chunk_size: int) -> int:
     """Ceiling division, with a minimum of one (possibly empty) chunk."""
     if chunk_size <= 0:
@@ -142,12 +137,6 @@ def _validate(h: ContainerHeader) -> None:
         raise InvariantError("chunk_count out of range")
 
 
-def _check_payload(container: SealedContainer) -> None:
-    size, expected = len(container.payload), container.header.plaintext_len
-    if size != expected:
-        raise InvariantError(f"payload is {size} bytes, expected {expected}")
-
-
 def header_len(chunk_count: int) -> int:
     """Bytes from the start of a container to its payload."""
     return HEADER_SIZE + chunk_count * CHUNK_ENTRY_SIZE
@@ -177,32 +166,30 @@ def encode_header(header: ContainerHeader) -> bytes:
                      _pack_table(h.plaintext_len, h.chunk_size)))
 
 
-def encode(container: SealedContainer) -> bytearray:
-    """Serialize a container to its bit-exact wire form, in one new buffer."""
-    head = encode_header(container.header)
-    _check_payload(container)
-    return bytearray().join((head, container.payload))
+def stored_header_len(head) -> int:
+    """header_len of the chunk count ``head`` stores, unchecked (HEADER_SIZE if it has none)."""
+    return header_len(_HEADER_BODY.unpack_from(head)[8]) if len(head) >= HEADER_SIZE else HEADER_SIZE
 
 
-def decode(data: bytes) -> SealedContainer:
-    """Parse and fully validate a serialized container.
+def decode(head, size: int) -> ContainerHeader:
+    """Parse and fully validate the header and chunk table of a ``size``-byte container.
 
-    The payload is a memoryview over ``data``, not a copy of the
-    ciphertext. Raised errors name the failing region: MagicError,
+    ``head`` holds its first ``min(size, stored_header_len(head))`` bytes
+    or more. Raised errors name the failing region: MagicError,
     VersionError, CrcError, TruncationError, or InvariantError. The
     stored chunk_count and chunk table must be exactly the ones the
     header's plaintext_len and chunk_size imply.
     """
-    if len(data) < HEADER_SIZE:
-        raise TruncationError(f"header needs {HEADER_SIZE} bytes, got {len(data)}")
-    body = data[: _HEADER_BODY.size]
+    if size < HEADER_SIZE:
+        raise TruncationError(f"header needs {HEADER_SIZE} bytes, got {size}")
+    body = head[: _HEADER_BODY.size]
     (magic, version, mode_byte, flags, fingerprint, nonce,
      plaintext_len, chunk_size, chunk_count, digest) = _HEADER_BODY.unpack(body)
     if magic != MAGIC:
         raise MagicError(f"magic is {magic!r}, expected {MAGIC!r}")
     if version != VERSION:
         raise VersionError(f"version {version} unsupported, expected {VERSION}")
-    (stored_crc,) = _HEADER_CRC.unpack_from(data, _HEADER_BODY.size)
+    (stored_crc,) = _HEADER_CRC.unpack_from(head, _HEADER_BODY.size)
     if zlib.crc32(body) != stored_crc:
         raise CrcError("header_crc does not validate")
     try:
@@ -211,14 +198,14 @@ def decode(data: bytes) -> SealedContainer:
         raise InvariantError(f"unknown cipher mode byte {mode_byte}") from exc
 
     table_end = header_len(chunk_count)
-    if len(data) < table_end:
+    if size < table_end:
         raise TruncationError(
             f"chunk table needs {table_end - HEADER_SIZE} bytes, "
-            f"got {len(data) - HEADER_SIZE}"
+            f"got {size - HEADER_SIZE}"
         )
-    payload = memoryview(data)[table_end:]
-    if len(payload) < plaintext_len:
-        raise TruncationError(f"payload is {len(payload)} bytes, header declares {plaintext_len}")
+    payload_len = size - table_end
+    if payload_len < plaintext_len:
+        raise TruncationError(f"payload is {payload_len} bytes, header declares {plaintext_len}")
 
     header = ContainerHeader(
         mode=mode,
@@ -231,20 +218,20 @@ def decode(data: bytes) -> SealedContainer:
         flags=flags,
     )
     _validate(header)
-    # The stored count already fits in data, and the implied count must
-    # equal it, so the table packed here is no longer than data.
+    # The stored count already fits in size, and the implied count must
+    # equal it, so the table packed here is no longer than the container.
     if chunk_count != header.chunk_count:
         raise InvariantError(
             f"chunk_count {chunk_count} does not match "
             f"ceil({plaintext_len} / {chunk_size})"
         )
-    if data[HEADER_SIZE:table_end] != _pack_table(plaintext_len, chunk_size):
+    if head[HEADER_SIZE:table_end] != _pack_table(plaintext_len, chunk_size):
         raise InvariantError(
             f"chunk table is not the contiguous {chunk_size}-byte tiling of {plaintext_len} bytes"
         )
-    container = SealedContainer(header=header, payload=payload)
-    _check_payload(container)  # rejects trailing bytes
-    return container
+    if payload_len != plaintext_len:
+        raise InvariantError(f"payload is {payload_len} bytes, expected {plaintext_len}")
+    return header
 
 
 def detect_format(data: bytes) -> SealedFormat:

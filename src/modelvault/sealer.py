@@ -248,8 +248,19 @@ def _reading(path: Path):
         raise IoError(f"cannot read {path}: {exc.strerror or exc}", path=str(path)) from exc
 
 
-def _changed_error(path: Path) -> IoError:
-    return IoError(f"model file {path} changed while it was being sealed", path=str(path))
+def _changed_error(path: Path, action: str) -> IoError:
+    return IoError(f"file {path} changed while it was being {action}", path=str(path))
+
+
+def _read_exactly(source, buf, path: Path, action: str) -> None:
+    """Fill ``buf`` from ``source``; IoError if ``path`` ends first, as when it shrank."""
+    with memoryview(buf) as view, _reading(path):
+        filled = 0
+        while filled < len(view):
+            n = source.readinto(view[filled:])
+            if not n:
+                raise _changed_error(path, action)
+            filled += n
 
 
 def _stream_container(source, size: int, input_path: Path, out,
@@ -260,13 +271,7 @@ def _stream_container(source, size: int, input_path: Path, out,
 
     def read_chunk(span: slice) -> tuple[memoryview, memoryview]:
         chunk = view[: span.stop - span.start]
-        filled = 0
-        with _reading(input_path):
-            while filled < len(chunk):
-                n = source.readinto(chunk[filled:])
-                if not n:
-                    raise _changed_error(input_path)
-                filled += n
+        _read_exactly(source, chunk, input_path, "sealed")
         return chunk, chunk
 
     head_len = header_len(chunk_count_for(size, chunk_size))
@@ -276,7 +281,7 @@ def _stream_container(source, size: int, input_path: Path, out,
             size, key, chunk_size, read_chunk, out.write)
         with _reading(input_path):
             if source.read(1):
-                raise _changed_error(input_path)
+                raise _changed_error(input_path, "sealed")
         start = _now_ms()
         out.seek(0)
         out.write(head)

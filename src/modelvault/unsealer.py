@@ -2,9 +2,12 @@
 
 Nothing in this module writes to storage; the decrypted model only ever
 exists as an in-process buffer that the caller can hand to an ML runtime
-and explicitly wipe afterwards. Three entry points share one chunk
-engine, ``_decrypt_chunks``, which decrypts the chunks in order on the
-thread that runs it (AES holds the GIL, so more threads would not help):
+and explicitly wipe afterwards. Every container unseal runs one chunk
+loop, ``_unseal_chunks``, the mirror of the sealer's ``_seal_chunks``,
+which decrypts the chunks in order on the thread that runs it (AES holds
+the GIL, so more threads would not help), each into its slice of the
+blob's buffer. From sealed bytes a chunk is decrypted from a view of
+them; from a file it is read into its slice and decrypted in place:
 
 * unseal            - synchronous, on the calling thread
 * unseal_parallel   - the same, for containers only, under an older
@@ -12,16 +15,14 @@ thread that runs it (AES holds the GIL, so more threads would not help):
 * unseal_background - returns at once; one runner thread decrypts while
                       progress and completion callbacks fire, and a
                       handle can cancel
-
-Each chunk is decrypted from a view of the sealed bytes straight into
-the blob's buffer, and the blob's own digest is the one checked against
-the container: plaintext is written once and hashed once.
+* unseal_file       - from a path, holding the sealed file only once
 
 Container payloads are checked twice: the key fingerprint before any
 ciphertext is touched (wrong key fails fast, without decrypting), and the
 plaintext digest after assembly (corruption fails loud). The raw ``.dat``
 layout has no metadata, so there a wrong key only surfaces as a padding
-failure, exactly like the pipeline it is byte-compatible with.
+failure, exactly like the pipeline it is byte-compatible with, and
+nothing is hashed until ``digest`` is read.
 
 Zeroization caveat: release() wipes the blob's own buffer. On both the
 container and the raw path the plaintext is decrypted straight into that
@@ -31,13 +32,19 @@ manage. Treat the wipe as hygiene, not as a hard memory guarantee.
 
 from __future__ import annotations
 
+import functools
+import os
+import stat
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .container import SealedContainer, SealedFormat, chunk_slices, decode, detect_format
+from .container import (HEADER_SIZE, ContainerHeader, SealedFormat, chunk_slices, decode,
+                        detect_format, stored_header_len)
 from .crypto import CipherMode, KeyMaterial, _wipe, ctr_crypt, ecb_decrypt, sha256
-from .errors import CancelledError, DigestError, KeyMismatchError, ModeError, RangeError
+from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
+                     ModeError, RangeError)
+from .sealer import _read_exactly, _reading
 
 
 class ModelBlob:
@@ -49,9 +56,19 @@ class ModelBlob:
 
     def __init__(self, buf: bytearray, source_mode: CipherMode):
         self._buf = buf
-        self.digest = sha256(buf)
         self.source_mode = source_mode
         self._released = False
+
+    @functools.cached_property
+    def digest(self) -> bytes:
+        """SHA-256 of the plaintext, computed on first read.
+
+        A first read after release() raises ModelVaultError rather than
+        hash the zeros.
+        """
+        if self._released:
+            raise ModelVaultError("the blob was released before its digest was read")
+        return sha256(self._buf)
 
     @property
     def data(self) -> memoryview:
@@ -76,7 +93,8 @@ class ModelBlob:
 
     def __repr__(self) -> str:
         state = "released" if self._released else f"{len(self._buf)} bytes"
-        return f"ModelBlob({state}, sha256={self.digest.hex()[:16]}…)"
+        digest = self.__dict__.get("digest")  # only if already computed
+        return f"ModelBlob({state}, sha256={digest.hex()[:16] + '…' if digest else 'unread'})"
 
 
 @dataclass(frozen=True)
@@ -97,64 +115,44 @@ def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memor
     ctr_crypt(ciphertext, key, nonce, index, out=out)
 
 
-def _open_container(sealed: bytes, key: KeyMaterial) -> SealedContainer:
-    """Decode and fingerprint-check; no payload bytes are decrypted here.
+def _unseal_chunks(header: ContainerHeader, key: KeyMaterial, next_chunk,
+                   on_chunk: ProgressSink | None = None, cancelled=None) -> ModelBlob:
+    """Check the key fingerprint, then decrypt each chunk into the blob buffer.
 
-    Whatever ``detect_format`` calls raw gets ModeError (a raw .dat handed
-    to the chunked path); anything it calls a container goes to ``decode``,
-    which names the corrupt region.
+    ``next_chunk(span, out)`` returns the ciphertext of the chunk whose
+    slice of the buffer is ``out``; it may fill ``out`` and return it. Each
+    chunk polls ``cancelled`` and reports to ``on_chunk``; the digest is
+    checked last, and the buffer is wiped on any failure.
     """
-    if detect_format(sealed) is not SealedFormat.CONTAINER:
-        raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
-    parsed = decode(sealed)
-    if parsed.header.key_fingerprint != key.fingerprint:
+    if header.key_fingerprint != key.fingerprint:
         raise KeyMismatchError(
-            f"container was sealed under key {parsed.header.key_fingerprint.hex()}, "
+            f"container was sealed under key {header.key_fingerprint.hex()}, "
             f"got {key.fingerprint.hex()}"
         )
-    return parsed
-
-
-def _decrypt_chunks(
-    parsed: SealedContainer,
-    key: KeyMaterial,
-    buf: bytearray,
-    on_chunk: ProgressSink | None,
-    cancelled: Callable[[], bool] | None,
-) -> None:
-    """Decrypt every chunk of ``parsed``, in order, into its slice of ``buf``.
-
-    After each chunk ``cancelled`` is polled (true raises CancelledError)
-    and ``on_chunk`` gets a progress event.
-    """
-    h = parsed.header
-    payload, out = memoryview(parsed.payload), memoryview(buf)
-    for index, span in enumerate(chunk_slices(h.plaintext_len, h.chunk_size)):
-        _decrypt_chunk(key, h.file_nonce, index, payload[span], out[span])
-        if cancelled is not None and cancelled():
-            raise CancelledError("cancelled while decrypting")
-        if on_chunk is not None:
-            on_chunk(UnsealProgress(index + 1, h.chunk_count, span.stop))
-
-
-def _unseal_container(
-    sealed: bytes,
-    key: KeyMaterial,
-    on_chunk: ProgressSink | None = None,
-    cancelled: Callable[[], bool] | None = None,
-) -> ModelBlob:
-    """Open, decrypt and verify a container; the buffer is wiped on any failure."""
-    parsed = _open_container(sealed, key)
-    buf = bytearray(parsed.header.plaintext_len)
+    buf = bytearray(header.plaintext_len)
+    view = memoryview(buf)
     try:
-        _decrypt_chunks(parsed, key, buf, on_chunk, cancelled)
+        for index, span in enumerate(chunk_slices(header.plaintext_len, header.chunk_size)):
+            _decrypt_chunk(key, header.file_nonce, index, next_chunk(span, view[span]), view[span])
+            if cancelled is not None and cancelled():
+                raise CancelledError("cancelled while decrypting")
+            if on_chunk is not None:
+                on_chunk(UnsealProgress(index + 1, header.chunk_count, span.stop))
         blob = ModelBlob(buf, CipherMode.CHUNKED_CTR)
-        if blob.digest != parsed.header.plaintext_digest:
+        if blob.digest != header.plaintext_digest:
             raise DigestError("decrypted plaintext does not match the container digest")
     except BaseException:
         _wipe(buf)
         raise
     return blob
+
+
+def _unseal_container(sealed, key: KeyMaterial, on_chunk=None, cancelled=None) -> ModelBlob:
+    if detect_format(sealed) is not SealedFormat.CONTAINER:
+        raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
+    header = decode(sealed, len(sealed))
+    payload = memoryview(sealed)[len(sealed) - header.plaintext_len:]
+    return _unseal_chunks(header, key, lambda span, out: payload[span], on_chunk, cancelled)
 
 
 def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> ModelBlob:
@@ -179,6 +177,33 @@ def unseal_parallel(sealed: bytes, key: KeyMaterial, workers: int | None = None)
     if workers is not None and workers < 1:
         raise RangeError(f"workers must be at least 1, got {workers}")
     return _unseal_container(sealed, key)
+
+
+def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = None) -> ModelBlob:
+    """Decrypt the sealed artifact at ``path`` in memory; None detects the format.
+
+    A container in a regular file is read chunk by chunk into the blob
+    buffer, every read bounded by the file's size (IoError if it shrinks),
+    and decrypted there in place. Anything else, such as a raw ``.dat`` or
+    a FIFO, is read whole, once, and unsealed from memory.
+    """
+    with _reading(path):
+        source = open(path, "rb", buffering=0)
+    with source, _reading(path):
+        info = os.fstat(source.fileno())
+        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+        found = detect_format(os.pread(source.fileno(), HEADER_SIZE, 0)) if size else None
+        if found is not SealedFormat.CONTAINER or declared_format is SealedFormat.RAW_DAT:
+            sealed = source.readall()
+            return unseal(sealed, key, declared_format or detect_format(sealed))
+
+        def read(buf):
+            _read_exactly(source, buf, path, "unsealed")
+            return buf
+
+        head = read(bytearray(min(size, HEADER_SIZE)))
+        head += read(bytearray(min(size, stored_header_len(head)) - len(head)))
+        return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
 
 
 class UnsealHandle:

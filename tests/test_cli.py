@@ -16,9 +16,10 @@ import urllib.parse
 import pytest
 
 from modelvault.cli import main
-from modelvault.container import decode
-from modelvault.crypto import derive_key, load_key_hex
+from modelvault.container import MAGIC, decode
+from modelvault.crypto import CipherMode, decrypt_block, derive_key, load_key_hex
 from modelvault.key_service import KeyService, ServiceConfig, issue_token
+from modelvault.sealer import seal
 from modelvault.unsealer import ModelBlob
 
 PASSPHRASE = "0123456789abcdef"
@@ -313,6 +314,20 @@ class TestUnsealCli:
         assert "header_crc" in err
         assert "padding" not in err
 
+    def test_format_raw_reads_a_raw_that_starts_with_the_magic(self, capsys, tmp_path):
+        key = derive_key(PASSPHRASE)
+        model = decrypt_block(key, MAGIC + bytes(12)) + MODEL  # seals to MVC1...
+        raw_path = tmp_path / "magic.dat"
+        raw_path.write_bytes(seal(model, key, mode=CipherMode.RAW_ECB_PKCS7)[0])
+        code, out, _ = run(capsys, "unseal", str(raw_path), "--format", "raw",
+                           "--passphrase", PASSPHRASE)
+        assert code == 0
+        result = json.loads(out)
+        assert result["format"] == "raw"
+        assert result["plaintext_len"] == len(model)
+        code, out, _ = run(capsys, "unseal", str(raw_path), "--passphrase", PASSPHRASE)
+        assert code == 1 and out == ""  # auto reads it as a damaged container
+
     def test_explicit_format_container(self, capsys, sealed_file):
         code, _, _ = run(capsys, "unseal", str(sealed_file),
                          "--format", "container", "--passphrase", PASSPHRASE)
@@ -447,8 +462,8 @@ class TestKeyServiceCli:
                          "--out", str(out_path),
                          "--key-url", service.url, "--token", token)
         assert code == 0
-        parsed = decode(out_path.read_bytes())
-        assert parsed.header.key_fingerprint == \
+        sealed = out_path.read_bytes()
+        assert decode(sealed, len(sealed)).key_fingerprint == \
             derive_key(PASSPHRASE).fingerprint
 
     def test_serve_key_requires_env(self, capsys, monkeypatch):
@@ -512,6 +527,32 @@ class TestKeyServiceCli:
             proc.terminate()
             proc.wait(timeout=10)
             proc.stdout.close()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdout"), reason="needs /dev/stdout")
+class TestOutToStdout:
+    """With --out naming stdout itself, the JSON report goes to stderr."""
+
+    def mvc(self, *argv):
+        return subprocess.run([sys.executable, "-m", "modelvault.cli", *argv,
+                               "--passphrase", PASSPHRASE],
+                              capture_output=True, timeout=60, check=True)
+
+    def test_piped_artifact_and_plaintext_are_clean(self, model_file, tmp_path):
+        sealed = self.mvc("seal", str(model_file), "--out", "/dev/stdout", "--no-manifest")
+        assert json.loads(sealed.stderr)["out"] == "/dev/stdout"
+        artifact = tmp_path / "piped.mvc"
+        artifact.write_bytes(sealed.stdout)
+        unsealed = self.mvc("unseal", str(artifact), "--out", "/dev/stdout",
+                            "--allow-plaintext-output")
+        assert unsealed.stdout == MODEL
+        assert json.loads(unsealed.stderr)["plaintext_len"] == len(MODEL)
+
+    def test_report_stays_on_stdout_for_another_output(self, model_file, tmp_path):
+        out = tmp_path / "model.mvc"
+        sealed = self.mvc("seal", str(model_file), "--out", str(out), "--no-manifest")
+        assert json.loads(sealed.stdout)["out"] == str(out)
+        assert sealed.stderr == b""
 
 
 class TestStdoutHygiene:

@@ -10,9 +10,9 @@ from hypothesis import strategies as st
 
 from modelvault.container import (CHUNK_ENTRY_SIZE, DEFAULT_CHUNK_SIZE,
                                   HEADER_SIZE, MAGIC, VERSION,
-                                  ContainerHeader, SealedContainer,
-                                  SealedFormat, chunk_count_for, chunk_slices,
-                                  decode, detect_format, encode)
+                                  ContainerHeader, SealedFormat,
+                                  chunk_count_for, chunk_slices, decode,
+                                  detect_format, encode_header)
 import modelvault.container as container_mod
 from modelvault.crypto import CipherMode, sha256
 from modelvault.errors import (ContainerError, CrcError, InvariantError,
@@ -21,18 +21,29 @@ from modelvault.errors import (ContainerError, CrcError, InvariantError,
 MIB = 1024 * 1024
 
 
-def make_container(payload_len=100, chunk_size=64, nonce=b"\x01" * 8,
-                   fingerprint=b"\xaa\xbb\xcc\xdd") -> SealedContainer:
-    payload = bytes(i % 251 for i in range(payload_len))
-    header = ContainerHeader(
+def make_header(payload_len=100, chunk_size=64, nonce=b"\x01" * 8,
+                fingerprint=b"\xaa\xbb\xcc\xdd") -> ContainerHeader:
+    return ContainerHeader(
         mode=CipherMode.CHUNKED_CTR,
         key_fingerprint=fingerprint,
         file_nonce=nonce,
         plaintext_len=payload_len,
         chunk_size=chunk_size,
-        plaintext_digest=sha256(payload),
+        plaintext_digest=sha256(payload_of(payload_len)),
     )
-    return SealedContainer(header=header, payload=payload)
+
+
+def payload_of(length: int) -> bytes:
+    return bytes(i % 251 for i in range(length))
+
+
+def encode(header: ContainerHeader) -> bytearray:
+    """A whole container: the packed header and table, then the payload."""
+    return bytearray(encode_header(header) + payload_of(header.plaintext_len))
+
+
+def parse(data) -> ContainerHeader:
+    return decode(data, len(data))
 
 
 def refix_crc(encoded: bytearray) -> bytearray:
@@ -79,123 +90,128 @@ class TestChunkMath:
 class TestEncode:
     def test_layout_sizes(self):
         # header + 12 bytes per chunk + length-preserving payload
-        c = make_container(payload_len=100, chunk_size=64)
+        c = make_header(payload_len=100, chunk_size=64)
         assert len(encode(c)) == HEADER_SIZE + 2 * CHUNK_ENTRY_SIZE + 100
 
     def test_one_byte_container_is_85_bytes(self):
-        c = make_container(payload_len=1, chunk_size=DEFAULT_CHUNK_SIZE)
+        c = make_header(payload_len=1, chunk_size=DEFAULT_CHUNK_SIZE)
         assert len(encode(c)) == 72 + 12 + 1 == 85
 
     def test_default_chunking_of_2_5_mb(self):
-        c = make_container(payload_len=2_621_440, chunk_size=MIB)
-        assert c.header.chunk_count == 3
+        c = make_header(payload_len=2_621_440, chunk_size=MIB)
+        assert c.chunk_count == 3
         assert len(encode(c)) == 72 + 3 * 12 + 2_621_440 == 2_621_548
 
     def test_header_starts_with_magic_and_version(self):
-        encoded = encode(make_container())
+        encoded = encode(make_header())
         assert encoded[:4] == MAGIC == b"MVC1"
         assert int.from_bytes(encoded[4:6], "little") == VERSION
 
     def test_crc_covers_first_68_bytes(self):
-        encoded = encode(make_container())
+        encoded = encode(make_header())
         stored = int.from_bytes(encoded[68:72], "little")
         assert stored == zlib.crc32(encoded[:68])
 
     def test_encode_validates(self):
-        c = make_container()
-        bad = SealedContainer(header=c.header, payload=c.payload + b"extra")
-        with pytest.raises(InvariantError):
-            encode(bad)
+        for field, value in (("flags", 1), ("file_nonce", b"\x01" * 7),
+                             ("plaintext_digest", b"short")):
+            with pytest.raises(InvariantError):
+                encode_header(dataclasses.replace(make_header(), **{field: value}))
 
     def test_encode_rejects_more_chunks_than_a_u32_counts(self):
-        c = make_container()
-        huge = dataclasses.replace(c.header, plaintext_len=1 << 40, chunk_size=1)
+        huge = dataclasses.replace(make_header(), plaintext_len=1 << 40, chunk_size=1)
         with pytest.raises(InvariantError, match="chunk_count"):
-            encode(SealedContainer(header=huge, payload=b""))
+            encode_header(huge)
 
 
 class TestDecode:
     def test_round_trip(self):
-        c = make_container(payload_len=1000, chunk_size=256)
-        out = decode(encode(c))
-        assert out == c
+        c = make_header(payload_len=1000, chunk_size=256)
+        assert parse(encode(c)) == c
 
     def test_round_trip_empty_payload(self):
-        c = make_container(payload_len=0, chunk_size=64)
-        out = decode(encode(c))
-        assert out.header.chunk_count == 1
-        assert out.payload == b""
+        c = make_header(payload_len=0, chunk_size=64)
+        encoded = encode(c)
+        assert parse(encoded).chunk_count == 1
+        assert len(encoded) == HEADER_SIZE + CHUNK_ENTRY_SIZE  # no payload bytes
+
+    def test_decodes_from_the_header_and_table_alone(self):
+        c = make_header(payload_len=1000, chunk_size=256)
+        head = encode_header(c)
+        assert decode(head, len(head) + 1000) == c
+        with pytest.raises(TruncationError):
+            decode(head, len(head) + 999)
 
     @settings(max_examples=50, deadline=None)
     @given(length=st.integers(min_value=0, max_value=10_000),
            size=st.integers(min_value=1, max_value=4_096))
     def test_round_trip_property(self, length, size):
-        c = make_container(payload_len=length, chunk_size=size)
-        assert decode(encode(c)) == c
+        c = make_header(payload_len=length, chunk_size=size)
+        assert parse(encode(c)) == c
 
     def test_fields_survive(self):
-        c = make_container(nonce=b"\x11" * 8, fingerprint=b"\x01\x02\x03\x04")
-        h = decode(encode(c)).header
+        c = make_header(nonce=b"\x11" * 8, fingerprint=b"\x01\x02\x03\x04")
+        h = parse(encode(c))
         assert h.file_nonce == b"\x11" * 8
         assert h.key_fingerprint == b"\x01\x02\x03\x04"
-        assert h.plaintext_digest == c.header.plaintext_digest
+        assert h.plaintext_digest == c.plaintext_digest
         assert h.mode is CipherMode.CHUNKED_CTR
 
     @pytest.mark.parametrize("n", [0, 10, 71])
     def test_short_input_rejected(self, n):
         with pytest.raises(TruncationError):
-            decode(bytes(n))
+            decode(bytes(n), n)
 
     def test_bad_magic_rejected(self):
-        encoded = bytearray(encode(make_container()))
+        encoded = bytearray(encode(make_header()))
         encoded[:4] = b"XXXX"
         with pytest.raises(MagicError):
-            decode(bytes(encoded))
+            parse(encoded)
 
     def test_unknown_version_rejected(self):
-        encoded = bytearray(encode(make_container()))
+        encoded = bytearray(encode(make_header()))
         encoded[4] = 2  # version is checked before the CRC
         with pytest.raises(VersionError):
-            decode(bytes(encoded))
+            parse(encoded)
 
     @pytest.mark.parametrize("offset", [12, 20, 30, 40, 67])
     def test_corrupted_header_rejected_by_crc(self, offset):
         # Bit flips beyond magic and version land on the CRC check.
-        encoded = bytearray(encode(make_container()))
+        encoded = bytearray(encode(make_header()))
         encoded[offset] ^= 0x40
         with pytest.raises(CrcError):
-            decode(bytes(encoded))
+            parse(encoded)
 
     def test_any_header_bit_flip_rejected(self):
-        encoded = encode(make_container())
+        encoded = encode(make_header())
         rng = random.Random(2024)
         for _ in range(100):
             bit = rng.randrange(HEADER_SIZE * 8)
             mutated = bytearray(encoded)
             mutated[bit // 8] ^= 1 << (bit % 8)
             with pytest.raises((MagicError, VersionError, CrcError)):
-                decode(bytes(mutated))
+                parse(mutated)
 
     def test_crc_flip_itself_rejected(self):
-        encoded = bytearray(encode(make_container()))
+        encoded = bytearray(encode(make_header()))
         encoded[70] ^= 0x01  # inside the stored CRC field
         with pytest.raises(CrcError):
-            decode(bytes(encoded))
+            parse(encoded)
 
     def test_truncated_chunk_table_rejected(self):
-        encoded = encode(make_container(payload_len=100, chunk_size=64))
+        encoded = encode(make_header(payload_len=100, chunk_size=64))
         with pytest.raises(TruncationError):
-            decode(encoded[:HEADER_SIZE + CHUNK_ENTRY_SIZE])
+            parse(encoded[:HEADER_SIZE + CHUNK_ENTRY_SIZE])
 
     def test_truncated_payload_rejected(self):
-        encoded = encode(make_container(payload_len=100, chunk_size=64))
+        encoded = encode(make_header(payload_len=100, chunk_size=64))
         with pytest.raises(TruncationError):
-            decode(encoded[:-1])
+            parse(encoded[:-1])
 
     def test_trailing_bytes_rejected(self):
-        encoded = encode(make_container(payload_len=100, chunk_size=64))
+        encoded = encode(make_header(payload_len=100, chunk_size=64))
         with pytest.raises(InvariantError):
-            decode(encoded + b"\x00")
+            parse(encoded + b"\x00")
 
     # The chunk table lies outside the header CRC; it is checked against
     # the layout that plaintext_len and chunk_size imply.
@@ -204,40 +220,40 @@ class TestDecode:
         (8, 4, 35),  # second entry's length
     ], ids=["offset", "length"])
     def test_edited_table_entry_rejected(self, field_offset, width, value):
-        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        encoded = bytearray(encode(make_header(payload_len=100, chunk_size=64)))
         set_u(encoded, HEADER_SIZE + CHUNK_ENTRY_SIZE + field_offset, width, value)
         with pytest.raises(InvariantError, match="chunk table"):
-            decode(bytes(encoded))
+            parse(encoded)
 
     def test_consistent_but_uneven_table_rejected(self):
         # Contiguous and summing to plaintext_len, but not chunk_size tiles.
-        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        encoded = bytearray(encode(make_header(payload_len=100, chunk_size=64)))
         set_u(encoded, HEADER_SIZE + 8, 4, 60)
         set_u(encoded, HEADER_SIZE + CHUNK_ENTRY_SIZE, 8, 60)
         set_u(encoded, HEADER_SIZE + CHUNK_ENTRY_SIZE + 8, 4, 40)
         with pytest.raises(InvariantError, match="chunk table"):
-            decode(bytes(encoded))
+            parse(encoded)
 
     @pytest.mark.parametrize("count,extra_entries", [(1, 0), (3, 1)])
     def test_crc_refixed_chunk_count_mismatch_rejected(self, count, extra_entries):
-        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        encoded = bytearray(encode(make_header(payload_len=100, chunk_size=64)))
         encoded[HEADER_SIZE:HEADER_SIZE] = bytes(CHUNK_ENTRY_SIZE * extra_entries)
         refix_crc(set_u(encoded, 32, 4, count))
         with pytest.raises(InvariantError, match="chunk_count"):
-            decode(bytes(encoded))
+            parse(encoded)
 
     @pytest.mark.parametrize("mode_byte", [0, 255], ids=["raw", "unknown"])
     def test_crc_refixed_mode_byte_rejected(self, mode_byte):
         # A v1 container is CTR only; raw (0) has no header, 255 is no mode.
-        encoded = bytearray(encode(make_container()))
+        encoded = bytearray(encode(make_header()))
         encoded[6] = mode_byte
         with pytest.raises(InvariantError):
-            decode(bytes(refix_crc(encoded)))
+            parse(refix_crc(encoded))
 
     @pytest.mark.parametrize("count", [2, (1 << 32) - 1])
     def test_huge_claimed_length_is_truncation_without_a_table(self, monkeypatch,
                                                                count):
-        encoded = bytearray(encode(make_container(payload_len=100, chunk_size=64)))
+        encoded = bytearray(encode(make_header(payload_len=100, chunk_size=64)))
         set_u(encoded, 20, 8, (1 << 64) - 1)  # plaintext_len
         set_u(encoded, 28, 4, 1)  # chunk_size
         refix_crc(set_u(encoded, 32, 4, count))
@@ -247,19 +263,19 @@ class TestDecode:
 
         monkeypatch.setattr(container_mod, "chunk_slices", no_table)
         with pytest.raises(TruncationError):
-            decode(bytes(encoded))
+            parse(encoded)
 
     def test_all_rejections_share_a_base_class(self):
         for mutate in (lambda b: b[:10],
                        lambda b: b"XXXX" + b[4:],
                        lambda b: b + b"junk"):
             with pytest.raises(ContainerError):
-                decode(mutate(encode(make_container())))
+                parse(mutate(bytes(encode(make_header()))))
 
 
 class TestDetectFormat:
     def test_container_detected(self):
-        assert detect_format(encode(make_container())) is SealedFormat.CONTAINER
+        assert detect_format(encode(make_header())) is SealedFormat.CONTAINER
 
     def test_empty_and_short_are_raw(self):
         assert detect_format(b"") is SealedFormat.RAW_DAT
@@ -272,8 +288,8 @@ class TestDetectFormat:
 
     def test_magic_with_bad_crc_is_container(self):
         # decode, not detection, judges the CRC and names the failure.
-        encoded = bytearray(encode(make_container()))
+        encoded = bytearray(encode(make_header()))
         encoded[30] ^= 0x01
         assert detect_format(bytes(encoded)) is SealedFormat.CONTAINER
         with pytest.raises(CrcError):
-            decode(bytes(encoded))
+            parse(encoded)

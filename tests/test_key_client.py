@@ -73,7 +73,8 @@ def stub():
         "/teapot": (418, {}, b'{"error": "teapot"}'),
         "/slow": (200, {}, json.dumps({"key": PASSPHRASE}).encode()),
     }
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # A short poll, as KeyService uses, so shutdown() does not wait 0.5 s.
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
     thread.start()
     base = f"http://127.0.0.1:{server.server_address[1]}"
     yield server, base

@@ -72,19 +72,19 @@ class TestSealRaw:
 class TestSealContainer:
     def test_well_formed(self, fips_key):
         sealed, report = seal(MODEL, fips_key, chunk_size=4096)
-        parsed = decode(sealed)
-        assert parsed.header.plaintext_len == len(MODEL)
-        assert parsed.header.chunk_size == 4096
-        assert parsed.header.chunk_count == 3
-        assert parsed.header.key_fingerprint == fips_key.fingerprint
+        h = decode(sealed, len(sealed))
+        assert h.plaintext_len == len(MODEL)
+        assert h.chunk_size == 4096
+        assert h.chunk_count == 3
+        assert h.key_fingerprint == fips_key.fingerprint
         assert report.output_len == len(sealed) == HEADER_SIZE + 3 * 12 + len(MODEL)
 
     def test_payload_is_ctr_of_each_chunk(self, fips_key):
         sealed, _ = seal(MODEL, fips_key, chunk_size=4096)
-        parsed = decode(sealed)
-        h = parsed.header
+        h = decode(sealed, len(sealed))
+        payload = sealed[len(sealed) - h.plaintext_len:]
         recovered = b"".join(
-            ref.ctr_keystream_xor(FIPS_KEY_BYTES, h.file_nonce, index, parsed.payload[span])
+            ref.ctr_keystream_xor(FIPS_KEY_BYTES, h.file_nonce, index, payload[span])
             for index, span in enumerate(chunk_slices(h.plaintext_len, h.chunk_size)))
         assert recovered == MODEL
 
@@ -119,19 +119,18 @@ class TestSealContainer:
         # Same input, same key: the payloads must still differ.
         a, _ = seal(MODEL, fips_key)
         b, _ = seal(MODEL, fips_key)
-        assert decode(a).header.file_nonce != decode(b).header.file_nonce
+        assert decode(a, len(a)).file_nonce != decode(b, len(b)).file_nonce
         assert a != b
 
     def test_digest_recorded(self, fips_key):
         sealed, report = seal(MODEL, fips_key)
-        parsed = decode(sealed)
-        assert parsed.header.plaintext_digest == report.plaintext_digest
+        assert decode(sealed, len(sealed)).plaintext_digest == report.plaintext_digest
 
     def test_empty_model(self, fips_key):
         sealed, report = seal(b"", fips_key)
-        parsed = decode(sealed)
-        assert parsed.header.plaintext_len == 0
-        assert parsed.header.chunk_count == 1
+        h = decode(sealed, len(sealed))
+        assert h.plaintext_len == 0
+        assert h.chunk_count == 1
         assert report.input_len == 0
 
     def test_small_chunk_size_rejected(self, fips_key):
@@ -207,8 +206,8 @@ class TestSealFile:
         src.write_bytes(MODEL)
         out = tmp_path / "model.mvc"
         report = seal_file(src, out, fips_key)
-        parsed = decode(out.read_bytes())
-        assert parsed.header.plaintext_len == len(MODEL)
+        sealed = out.read_bytes()
+        assert decode(sealed, len(sealed)).plaintext_len == len(MODEL)
         manifest = json.loads((tmp_path / "model.mvc.manifest.json").read_text())
         assert manifest["sha256_hex"] == report.plaintext_digest.hex()
         assert manifest["storage_ms"] == report.storage_ms > 0.0

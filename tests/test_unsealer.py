@@ -1,5 +1,6 @@
 """Unit tests for in-memory unsealing: sync, parallel, and background."""
 
+import os
 import struct
 import threading
 import time
@@ -12,14 +13,16 @@ from hypothesis import strategies as st
 
 import modelvault.crypto as crypto_mod
 import modelvault.unsealer as unsealer_mod
-from modelvault.container import HEADER_SIZE, SealedFormat, decode
-from modelvault.crypto import CipherMode, KeyMaterial, sha256
-from modelvault.errors import (CancelledError, DigestError, KeyMismatchError,
-                               ModelVaultError, ModeError, PaddingError,
-                               RangeError)
+from modelvault.container import HEADER_SIZE, MAGIC, SealedFormat, decode
+from modelvault.crypto import CipherMode, KeyMaterial, decrypt_block, sha256
+from modelvault.errors import (CancelledError, ContainerError, CrcError,
+                               DigestError, InvariantError, IoError,
+                               KeyMismatchError, ModelVaultError, ModeError,
+                               PaddingError, RangeError, TruncationError,
+                               VersionError)
 from modelvault.sealer import seal
 from modelvault.unsealer import (ModelBlob, unseal, unseal_background,
-                                 unseal_parallel)
+                                 unseal_file, unseal_parallel)
 from conftest import FIPS_KEY_BYTES
 
 MODEL = bytes((i * 31 + 7) % 256 for i in range(10240))
@@ -145,7 +148,7 @@ class TestUnsealParallel:
     def test_non_dividing_chunk_size(self, fips_key):
         # 10240 = 4096 + 4096 + 2048: a short tail chunk.
         sealed, _ = seal(MODEL, fips_key, chunk_size=4096)
-        assert decode(sealed).header.chunk_count == 3
+        assert decode(sealed, len(sealed)).chunk_count == 3
         assert unseal_parallel(sealed, fips_key, workers=3).to_bytes() == MODEL
 
     def test_more_workers_than_chunks(self, container_bytes, fips_key):
@@ -217,6 +220,42 @@ class TestModelBlob:
     def test_repr_shows_no_content(self, container_bytes, fips_key):
         blob = unseal(container_bytes, fips_key, SealedFormat.CONTAINER)
         assert MODEL[:8].hex() not in repr(blob)
+
+
+def counting_sha256(monkeypatch):
+    """Instrument unsealer.sha256; returns the lengths it hashed."""
+    hashed = []
+    real = unsealer_mod.sha256
+
+    def wrapper(data):
+        hashed.append(len(data))
+        return real(data)
+
+    monkeypatch.setattr(unsealer_mod, "sha256", wrapper)
+    return hashed
+
+
+class TestLazyDigest:
+    def test_raw_unseal_hashes_only_when_digest_is_read(self, raw_bytes, fips_key,
+                                                         monkeypatch):
+        hashed = counting_sha256(monkeypatch)
+        blob = unseal(raw_bytes, fips_key, SealedFormat.RAW_DAT)
+        assert hashed == []
+        assert "unread" in repr(blob) and hashed == []  # repr does not hash
+        assert blob.digest == sha256(MODEL)
+        assert blob.digest == sha256(MODEL)
+        assert hashed == [len(MODEL)]
+
+    def test_first_digest_read_after_release_raises(self, raw_bytes, fips_key):
+        blob = unseal(raw_bytes, fips_key, SealedFormat.RAW_DAT)
+        blob.release()
+        with pytest.raises(ModelVaultError, match="released"):
+            blob.digest
+
+    def test_container_digest_is_read_before_return(self, container_bytes, fips_key):
+        blob = unseal(container_bytes, fips_key, SealedFormat.CONTAINER)
+        blob.release()
+        assert blob.digest == sha256(MODEL)  # checked, so known, before the wipe
 
 
 class Collector:
@@ -406,14 +445,7 @@ class TestSingleHashPass:
     @pytest.mark.parametrize("path", sorted(CONTAINER_PATHS))
     def test_plaintext_hashed_once(self, path, container_bytes, fips_key,
                                    monkeypatch):
-        hashed = []
-        real = unsealer_mod.sha256
-
-        def counting_sha256(data):
-            hashed.append(len(data))
-            return real(data)
-
-        monkeypatch.setattr(unsealer_mod, "sha256", counting_sha256)
+        hashed = counting_sha256(monkeypatch)
         blob = CONTAINER_PATHS[path](container_bytes, fips_key)
         assert hashed == [len(MODEL)]
         assert blob.digest == sha256(blob.data) == sha256(MODEL)
@@ -464,7 +496,7 @@ class TestMutatedArtifacts:
     def test_only_taxonomy_errors(self, mutations):
         mutated = _mutate(FUZZ_SEALED, mutations)
         try:
-            decode(mutated)
+            decode(mutated, len(mutated))
         except ModelVaultError:
             pass
         try:
@@ -482,3 +514,138 @@ class TestMutatedArtifacts:
         except ModelVaultError:
             return
         assert 1 <= len(mutated_raw) - len(blob) <= 16
+
+
+def _put(offset: int, value: bytes, refix_crc: bool = False):
+    def mutate(data: bytearray) -> bytearray:
+        data[offset:offset + len(value)] = value
+        if refix_crc:
+            data[HEADER_SIZE - 4:HEADER_SIZE] = struct.pack("<I", zlib.crc32(data[:HEADER_SIZE - 4]))
+        return data
+    return mutate
+
+
+def _flip_last_byte(data: bytearray) -> bytearray:
+    data[-1] ^= 0x01
+    return data
+
+
+# Damage to FUZZ_SEALED (chunks of 4096, 4096 and 2048 bytes) and the error
+# it must raise, whether the artifact is unsealed from bytes or from a file.
+DAMAGE = {
+    "magic": (_put(0, b"XXXX"), ModeError),
+    "version": (_put(4, b"\x02"), VersionError),
+    "crc": (_put(30, b"\x01"), CrcError),
+    "mode-byte": (_put(6, b"\xff", refix_crc=True), InvariantError),
+    "chunk-count": (_put(32, struct.pack("<I", 2), refix_crc=True), InvariantError),
+    "table-entry": (_put(HEADER_SIZE + 12, struct.pack("<Q", 4097)), InvariantError),
+    "short-header": (lambda data: data[:10], TruncationError),
+    "short-table": (lambda data: data[:HEADER_SIZE + 12], TruncationError),
+    "short-payload": (lambda data: data[:-1], TruncationError),
+    "trailing-byte": (lambda data: data + b"\x00", InvariantError),
+    # plaintext_len 2^64-1, chunk_size 1, chunk_count 2^32-1
+    "huge-claimed-count": (_put(20, struct.pack("<QII", (1 << 64) - 1, 1, (1 << 32) - 1),
+                                refix_crc=True), TruncationError),
+    "payload-bit": (_flip_last_byte, DigestError),
+}
+
+
+def _write(tmp_path, data):
+    path = tmp_path / "sealed.mvc"
+    path.write_bytes(data)
+    return path
+
+
+class TestUnsealFile:
+    @pytest.mark.parametrize("reader", ["bytes", "file"])
+    @pytest.mark.parametrize("damage", sorted(DAMAGE))
+    def test_damage_raises_the_same_error_from_bytes_and_file(self, damage, reader,
+                                                               tmp_path):
+        mutate, error = DAMAGE[damage]
+        data = bytes(mutate(bytearray(FUZZ_SEALED)))
+        with pytest.raises(error):
+            if reader == "bytes":
+                unseal(data, FUZZ_KEY, SealedFormat.CONTAINER)
+            else:
+                unseal_file(_write(tmp_path, data), FUZZ_KEY, SealedFormat.CONTAINER)
+
+    @pytest.mark.parametrize("declared", [None, SealedFormat.CONTAINER])
+    def test_container_round_trip(self, container_bytes, fips_key, tmp_path, declared,
+                                  monkeypatch):
+        calls = counting_decrypt(monkeypatch)
+        blob = unseal_file(_write(tmp_path, container_bytes), fips_key, declared)
+        assert blob.to_bytes() == MODEL
+        assert blob.source_mode is CipherMode.CHUNKED_CTR
+        assert calls == [0, 1, 2]
+
+    def test_raw_dat_round_trip(self, raw_bytes, fips_key, tmp_path):
+        blob = unseal_file(_write(tmp_path, raw_bytes), fips_key)
+        assert blob.to_bytes() == MODEL
+        assert blob.source_mode is CipherMode.RAW_ECB_PKCS7
+
+    def test_empty_container(self, fips_key, tmp_path):
+        sealed, _ = seal(b"", fips_key)
+        assert unseal_file(_write(tmp_path, sealed), fips_key).to_bytes() == b""
+
+    def test_raw_that_starts_with_the_magic_needs_the_raw_format(self, fips_key, tmp_path):
+        # ECB: a first plaintext block that decrypts from MVC1... seals to MVC1...
+        model = decrypt_block(fips_key, MAGIC + bytes(12)) + MODEL
+        sealed, _ = seal(model, fips_key, mode=CipherMode.RAW_ECB_PKCS7)
+        assert sealed[:4] == MAGIC
+        path = _write(tmp_path, sealed)
+        assert unseal_file(path, fips_key, SealedFormat.RAW_DAT).to_bytes() == model
+        with pytest.raises(ContainerError):
+            unseal_file(path, fips_key)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("declared", [None, SealedFormat.CONTAINER])
+    def test_fifo_is_read_whole(self, container_bytes, fips_key, tmp_path, declared):
+        fifo = tmp_path / "sealed.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(bytes(container_bytes),),
+                                  daemon=True)
+        writer.start()
+        blob = unseal_file(fifo, fips_key, declared)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert blob.to_bytes() == MODEL
+
+    def test_wrong_key_allocates_no_buffer(self, container_bytes, other_key, tmp_path,
+                                           monkeypatch):
+        calls = counting_decrypt(monkeypatch)
+        with pytest.raises(KeyMismatchError):
+            unseal_file(_write(tmp_path, container_bytes), other_key)
+        assert calls == []
+
+    def test_file_that_shrinks_midway_raises_and_wipes(self, container_bytes, fips_key,
+                                                       tmp_path, monkeypatch):
+        path = _write(tmp_path, container_bytes)
+        buffers = []
+        real = unsealer_mod._decrypt_chunk
+
+        def decrypt_then_truncate(key, nonce, index, ciphertext, out):
+            if not buffers:
+                buffers.append(out.obj)
+                with open(path, "r+b") as handle:
+                    handle.truncate(len(container_bytes) - 100)
+            return real(key, nonce, index, ciphertext, out)
+
+        monkeypatch.setattr(unsealer_mod, "_decrypt_chunk", decrypt_then_truncate)
+        with pytest.raises(IoError, match="changed while it was being unsealed") as info:
+            unseal_file(path, fips_key)
+        assert info.value.path == str(path)
+        assert buffers[0] == bytearray(len(MODEL))  # the blob buffer is wiped
+
+    def test_holds_the_plaintext_once(self, fips_key, tmp_path):
+        size = 8 * 1024 * 1024
+        sealed, _ = seal(bytes(size), fips_key)
+        path = _write(tmp_path, sealed)
+        del sealed
+        tracemalloc.start()
+        try:
+            blob = unseal_file(path, fips_key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == size
+        assert peak <= 1.05 * size
