@@ -32,6 +32,8 @@ plaintext_len and chunk_size alone fix chunk_count and every table entry:
 unsealer both walk it, and ``decode`` rejects a stored count or table that
 differs from it. ``encode_header`` packs and ``decode`` parses only what
 precedes the payload; the payload is streamed chunk by chunk around them.
+``decode_header`` makes ``decode``'s checks of the fixed 72 bytes alone,
+so a file reader trusts the stored chunk count before it reads the table.
 The mode byte keeps a slot for the raw layout, but a raw seal is by
 definition headerless, so a v1 container always says CHUNKED_CTR.
 """
@@ -166,19 +168,13 @@ def encode_header(header: ContainerHeader) -> bytes:
                      _pack_table(h.plaintext_len, h.chunk_size)))
 
 
-def stored_header_len(head) -> int:
-    """header_len of the chunk count ``head`` stores, unchecked (HEADER_SIZE if it has none)."""
-    return header_len(_HEADER_BODY.unpack_from(head)[8]) if len(head) >= HEADER_SIZE else HEADER_SIZE
+def decode_header(head, size: int) -> ContainerHeader:
+    """Parse and validate the 72-byte header of a ``size``-byte container.
 
-
-def decode(head, size: int) -> ContainerHeader:
-    """Parse and fully validate the header and chunk table of a ``size``-byte container.
-
-    ``head`` holds its first ``min(size, stored_header_len(head))`` bytes
-    or more. Raised errors name the failing region: MagicError,
-    VersionError, CrcError, TruncationError, or InvariantError. The
-    stored chunk_count and chunk table must be exactly the ones the
-    header's plaintext_len and chunk_size imply.
+    ``head`` holds its first ``min(size, HEADER_SIZE)`` bytes or more. It
+    makes every check of ``decode`` that needs no chunk table, in the same
+    order, so the stored chunk_count is known to be the implied one and its
+    table to fit in ``size`` before anyone reads the table.
     """
     if size < HEADER_SIZE:
         raise TruncationError(f"header needs {HEADER_SIZE} bytes, got {size}")
@@ -218,19 +214,36 @@ def decode(head, size: int) -> ContainerHeader:
         flags=flags,
     )
     _validate(header)
-    # The stored count already fits in size, and the implied count must
-    # equal it, so the table packed here is no longer than the container.
     if chunk_count != header.chunk_count:
         raise InvariantError(
             f"chunk_count {chunk_count} does not match "
             f"ceil({plaintext_len} / {chunk_size})"
         )
-    if head[HEADER_SIZE:table_end] != _pack_table(plaintext_len, chunk_size):
+    return header
+
+
+def decode(head, size: int) -> ContainerHeader:
+    """Parse and fully validate the header and chunk table of a ``size``-byte container.
+
+    ``head`` holds its first ``header_len(chunk_count)`` bytes or more,
+    which ``decode_header`` of its first HEADER_SIZE bytes bounds by
+    ``size``. Raised errors name the failing region: MagicError,
+    VersionError, CrcError, TruncationError, or InvariantError. The
+    stored chunk_count and chunk table must be exactly the ones the
+    header's plaintext_len and chunk_size imply.
+    """
+    header = decode_header(head, size)
+    # The stored count fits in size and equals the implied one, so the
+    # table packed here is no longer than the container.
+    table_end = header_len(header.chunk_count)
+    if head[HEADER_SIZE:table_end] != _pack_table(header.plaintext_len, header.chunk_size):
         raise InvariantError(
-            f"chunk table is not the contiguous {chunk_size}-byte tiling of {plaintext_len} bytes"
+            f"chunk table is not the contiguous {header.chunk_size}-byte tiling "
+            f"of {header.plaintext_len} bytes"
         )
-    if payload_len != plaintext_len:
-        raise InvariantError(f"payload is {payload_len} bytes, expected {plaintext_len}")
+    if size - table_end != header.plaintext_len:
+        raise InvariantError(
+            f"payload is {size - table_end} bytes, expected {header.plaintext_len}")
     return header
 
 

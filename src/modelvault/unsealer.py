@@ -28,11 +28,20 @@ Zeroization caveat: release() wipes the blob's own buffer. On both the
 container and the raw path the plaintext is decrypted straight into that
 buffer, and to_bytes() is the only copy, which is the caller's to
 manage. Treat the wipe as hygiene, not as a hard memory guarantee.
+
+Where a plaintext lives: a container's plaintext of 2 MiB or more gets a
+private anonymous mapping of its own from ``crypto._secret_buffer``,
+backed by huge pages where the kernel allows. It is wiped in place by
+release(), unmapped when the blob and every view of it are collected, and
+counted by tracemalloc like heap memory. A smaller one, and every raw
+``.dat`` plaintext, lives in a ``bytearray`` on the heap. No dump, swap or
+lock property is claimed for either.
 """
 
 from __future__ import annotations
 
 import functools
+import mmap
 import os
 import stat
 import threading
@@ -40,8 +49,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .container import (HEADER_SIZE, ContainerHeader, SealedFormat, chunk_slices, decode,
-                        detect_format, stored_header_len)
-from .crypto import CipherMode, KeyMaterial, _wipe, ctr_crypt, ecb_decrypt, sha256
+                        decode_header, detect_format, header_len)
+from .crypto import (CipherMode, KeyMaterial, _secret_buffer, _wipe, ctr_crypt, ecb_decrypt,
+                     sha256)
 from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
                      ModeError, RangeError)
 from .sealer import _read_exactly, _reading
@@ -51,10 +61,13 @@ class ModelBlob:
     """Decrypted model bytes held in memory, plus their SHA-256 digest.
 
     The digest check stands in for "the model loads": feed ``data`` to
-    your interpreter, then call release() to zero the buffer.
+    your interpreter, then call release() to zero the buffer. The buffer is
+    a ``bytearray``, or for a container plaintext of 2 MiB or more an
+    anonymous mapping of its own (see ``crypto._secret_buffer``); either
+    way it is wiped in place by release() and freed when collected.
     """
 
-    def __init__(self, buf: bytearray, source_mode: CipherMode):
+    def __init__(self, buf: bytearray | mmap.mmap, source_mode: CipherMode):
         self._buf = buf
         self.source_mode = source_mode
         self._released = False
@@ -129,7 +142,7 @@ def _unseal_chunks(header: ContainerHeader, key: KeyMaterial, next_chunk,
             f"container was sealed under key {header.key_fingerprint.hex()}, "
             f"got {key.fingerprint.hex()}"
         )
-    buf = bytearray(header.plaintext_len)
+    buf = _secret_buffer(header.plaintext_len)
     view = memoryview(buf)
     try:
         for index, span in enumerate(chunk_slices(header.plaintext_len, header.chunk_size)):
@@ -202,7 +215,7 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
             return buf
 
         head = read(bytearray(min(size, HEADER_SIZE)))
-        head += read(bytearray(min(size, stored_header_len(head)) - len(head)))
+        head += read(bytearray(header_len(decode_header(head, size).chunk_count) - len(head)))
         return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
 
 

@@ -5,6 +5,7 @@ independent table-driven AES implementation (tests/aes_reference.py)
 that shares no code with the package.
 """
 
+import mmap
 import random
 
 import pytest
@@ -340,3 +341,17 @@ class TestCipherMode:
     def test_from_token_rejects_unknown(self):
         with pytest.raises(ValueError):
             CipherMode.from_token("cbc")
+
+
+class TestSecretBuffer:
+    def test_below_one_huge_page_is_a_bytearray(self):
+        buf = crypto_mod._secret_buffer(crypto_mod._HUGE_PAGE - 1)
+        assert type(buf) is bytearray and len(buf) == crypto_mod._HUGE_PAGE - 1
+
+    def test_from_one_huge_page_is_a_zeroed_writable_mapping(self):
+        buf = crypto_mod._secret_buffer(crypto_mod._HUGE_PAGE)
+        assert isinstance(buf, mmap.mmap) and len(buf) == crypto_mod._HUGE_PAGE
+        assert not any(buf)
+        buf[-1] = 1
+        crypto_mod._wipe(buf)
+        assert not any(buf)

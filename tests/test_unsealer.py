@@ -1,10 +1,13 @@
 """Unit tests for in-memory unsealing: sync, parallel, and background."""
 
+import gc
+import mmap
 import os
 import struct
 import threading
 import time
 import tracemalloc
+import weakref
 import zlib
 
 import pytest
@@ -569,6 +572,21 @@ class TestUnsealFile:
             else:
                 unseal_file(_write(tmp_path, data), FUZZ_KEY, SealedFormat.CONTAINER)
 
+    def test_a_damaged_count_reads_only_the_header(self, tmp_path, monkeypatch):
+        mutate, error = DAMAGE["huge-claimed-count"]
+        path = _write(tmp_path, bytes(mutate(bytearray(FUZZ_SEALED))))
+        read = []
+        real = unsealer_mod._read_exactly
+
+        def counting_read(source, buf, *args):
+            read.append(len(buf))
+            return real(source, buf, *args)
+
+        monkeypatch.setattr(unsealer_mod, "_read_exactly", counting_read)
+        with pytest.raises(error):
+            unseal_file(path, FUZZ_KEY, SealedFormat.CONTAINER)
+        assert read == [HEADER_SIZE]
+
     @pytest.mark.parametrize("declared", [None, SealedFormat.CONTAINER])
     def test_container_round_trip(self, container_bytes, fips_key, tmp_path, declared,
                                   monkeypatch):
@@ -649,3 +667,110 @@ class TestUnsealFile:
             tracemalloc.stop()
         assert len(blob) == size
         assert peak <= 1.05 * size
+
+
+# Over one 2 MiB huge page, with a tail that fills no page; from 4 MiB on a
+# mapping holds an aligned huge page wherever the kernel places it.
+LARGE_MODEL = bytes(range(256)) * (5 * 4096) + b"tail"
+
+
+def _thp_mode() -> str:
+    try:
+        with open("/sys/kernel/mm/transparent_hugepage/enabled") as modes:
+            return modes.read().split("[")[1].split("]")[0]
+    except (OSError, IndexError):
+        return "unavailable"
+
+
+def _anon_huge_kb(address: int) -> int:
+    """AnonHugePages of the mapping that holds ``address``, from /proc/self/smaps."""
+    inside = False
+    with open("/proc/self/smaps") as smaps:
+        for line in smaps:
+            first = line.split()[0]
+            if "-" in first and not first.endswith(":"):
+                start, end = (int(bound, 16) for bound in first.split("-"))
+                inside = start <= address < end
+            elif inside and first == "AnonHugePages:":
+                return int(line.split()[1])
+    raise AssertionError(f"no mapping holds {address:#x}")
+
+
+def _unseal_large(how, sealed, key, tmp_path):
+    if how == "unseal":
+        return unseal(sealed, key, SealedFormat.CONTAINER)
+    if how == "unseal_parallel":
+        return unseal_parallel(sealed, key)
+    if how == "unseal_file":
+        return unseal_file(_write(tmp_path, sealed), key)
+    done = []
+    handle = unseal_background(sealed, key, on_done=lambda *outcome: done.append(outcome))
+    assert handle.wait(10)
+    [(blob, error)] = done
+    assert error is None
+    return blob
+
+
+class TestLargeBlob:
+    """A plaintext of one huge page or more lives in a mapping of its own."""
+
+    @pytest.fixture(scope="class")
+    def large_sealed(self):
+        return seal(LARGE_MODEL, FUZZ_KEY)[0]
+
+    @pytest.mark.parametrize("how", ["unseal", "unseal_parallel", "unseal_background",
+                                     "unseal_file"])
+    def test_round_trip_in_a_mapping(self, how, large_sealed, tmp_path):
+        blob = _unseal_large(how, large_sealed, FUZZ_KEY, tmp_path)
+        assert isinstance(blob.data.obj, mmap.mmap)
+        assert len(blob) == len(LARGE_MODEL)
+        assert blob.to_bytes() == LARGE_MODEL
+        assert blob.digest == sha256(LARGE_MODEL)
+        assert repr(blob).startswith(f"ModelBlob({len(LARGE_MODEL)} bytes, sha256=")
+
+    def test_release_zeroes_views_and_data(self, large_sealed):
+        blob = unseal(large_sealed, FUZZ_KEY, SealedFormat.CONTAINER)
+        view = blob.data
+        blob.release()
+        assert not any(view)
+        assert not any(blob.data)
+        assert len(blob) == len(LARGE_MODEL)
+        assert repr(blob) == "ModelBlob(released, sha256=" + blob.digest.hex()[:16] + "…)"
+
+    def test_counted_by_tracemalloc_until_collected(self, large_sealed):
+        n = len(LARGE_MODEL)
+        tracemalloc.start()
+        try:
+            baseline = tracemalloc.get_traced_memory()[0]
+            blob = unseal(large_sealed, FUZZ_KEY, SealedFormat.CONTAINER)
+            living = tracemalloc.get_traced_memory()[0] - baseline
+            mapping = weakref.ref(blob.data.obj)
+            del blob
+            gc.collect()
+            collected = tracemalloc.get_traced_memory()[0] - baseline
+        finally:
+            tracemalloc.stop()
+        assert mapping() is None  # unmapped with the blob
+        assert living >= n
+        assert collected < n // 2
+
+    def test_refused_advice_still_round_trips(self, large_sealed, monkeypatch):
+        # Advice values no kernel knows: every madvise call raises OSError.
+        monkeypatch.setattr(crypto_mod, "_ADVICE", (0x7FFF, 0x7FFE))
+        with mmap.mmap(-1, mmap.PAGESIZE) as probe, pytest.raises(OSError):
+            probe.madvise(0x7FFF)
+        blob = unseal(large_sealed, FUZZ_KEY, SealedFormat.CONTAINER)
+        assert isinstance(blob.data.obj, mmap.mmap)
+        assert blob.to_bytes() == LARGE_MODEL
+
+    def test_one_mib_stays_on_the_heap(self):
+        model = bytes(1 << 20)
+        blob = unseal(seal(model, FUZZ_KEY)[0], FUZZ_KEY, SealedFormat.CONTAINER)
+        assert type(blob.data.obj) is bytearray
+        assert blob.to_bytes() == model
+
+    @pytest.mark.skipif(_thp_mode() not in ("always", "madvise"),
+                        reason="transparent huge pages are off or absent")
+    def test_mapping_gets_huge_pages(self, large_sealed):
+        blob = unseal(large_sealed, FUZZ_KEY, SealedFormat.CONTAINER)
+        assert _anon_huge_kb(blob.data.obj.address) > 0
