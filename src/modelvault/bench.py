@@ -5,7 +5,7 @@ Measures the three phases separately on synthetic models:
 * ``encrypt_ms`` -- the cipher time of ``seal_file``'s report: the CTR
   calls on a container's chunks, or the ECB encryption of a raw seal
 * ``storage_ms`` -- writing the sealed bytes to disk (writes + flush)
-* ``decrypt_ms`` -- recovering the plaintext from the sealed bytes
+* ``decrypt_ms`` -- unseal() of the sealed bytes into a fresh plaintext buffer
 
 Repetitions are interleaved round-robin across sizes (warm-up round
 first, then the measured rounds) so a transient load spike costs
@@ -141,23 +141,14 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
             })
 
         # Round-robin the repetitions; round 0 warms caches and is dropped.
-        # The spacer allocation shifts heap layout between repetitions:
-        # throughput of a large buffer can vary ~2x with where it happens
-        # to land (huge-page and TLB luck), and without the shift the
-        # allocator hands each size the same address every repetition, so
-        # one unlucky placement would stick to that size for the whole
-        # run. Re-rolling placement per repetition lets the median settle
-        # on the machine's typical rate for every size alike.
-        layout_rng = random.Random(seed ^ 0x5F5E1)
         for rep in range(repetitions + 1):
             for case in cases:
-                spacer = bytes(layout_rng.randrange(1, 512) * 4096)
                 report = seal_file(case["in_path"], case["out_path"], key,
                                    mode=mode, chunk_size=chunk_size,
                                    write_manifest=False)
                 sealed = case["out_path"].read_bytes()
                 decrypt_ms = _time_decrypt(sealed, key, fmt)
-                del spacer, sealed
+                del sealed
                 if rep == 0:
                     continue
                 case["encrypt"].append(report.encrypt_ms)

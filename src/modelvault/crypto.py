@@ -11,9 +11,9 @@ compatibility with the raw ``.dat`` layout matters; see the README's
 security notes.
 
 No function holds hidden randomness or shared state, so all are safe to
-call concurrently; ctr_crypt with ``out`` writes only to that buffer. The
-ECB functions each work in one buffer of the output's size, so a raw seal
-or unseal holds one copy of the plaintext, which ``_wipe`` can zero.
+call concurrently; ctr_crypt with ``out`` writes only to that buffer. Each
+ECB function works in one buffer, cut only once it holds ciphertext, so a
+raw seal or unseal holds one copy of the plaintext, which ``_wipe`` zeroes.
 
 ``_secret_buffer`` allocates a container's plaintext buffer; from one huge
 page on, it is a mapping of its own, populated in huge pages, so the first
@@ -212,7 +212,7 @@ def _secret_buffer(n: int) -> bytearray | mmap.mmap:
     return mapping
 
 
-def _wipe(buf: bytearray | mmap.mmap) -> None:
+def _wipe(buf: bytearray | mmap.mmap | memoryview) -> None:
     """Zero-fill ``buf`` in place, block by block, allocating nothing its size."""
     view = memoryview(buf)
     for start in range(0, len(view), len(_ZEROS)):
@@ -241,18 +241,17 @@ def ecb_encrypt(plaintext: bytes, key: KeyMaterial) -> bytearray:
     return buf
 
 
-def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> bytearray:
-    """Invert ecb_encrypt, stripping and verifying the PKCS#7 padding.
-
-    The plaintext is decrypted into the returned buffer and the padding is
-    cut off in place; on a padding failure the buffer is zeroed first.
-    """
-    size = len(ciphertext)
+def _ecb_buffer(size: int) -> bytearray:
     if size == 0 or size % BLOCK_SIZE:
         raise LengthError(
             f"ciphertext length must be a positive multiple of {BLOCK_SIZE}, got {size}"
         )
-    buf = bytearray(size + _ECB_SLACK)
+    return bytearray(size + _ECB_SLACK)
+
+
+def _ecb_decrypt_into(ciphertext, buf: bytearray, key: KeyMaterial) -> memoryview:
+    """ecb_decrypt into ``buf`` from ``_ecb_buffer``, which may hold ``ciphertext`` at its start."""
+    size = len(ciphertext)
     dec = Cipher(_aes(key), modes.ECB()).decryptor()
     dec.update_into(ciphertext, buf)
     dec.finalize()
@@ -261,14 +260,16 @@ def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> bytearray:
     if not (1 <= n <= BLOCK_SIZE and buf[size - n : size] == bytes([n]) * n):
         _wipe(buf)
         raise PaddingError("invalid padding")
-    # Cut below half its len + 1 byte block, CPython would move the buffer
-    # and free the old block unwiped: copy a short plaintext out instead.
-    if 2 * (size - n) < len(buf) + 1:
-        plain = bytearray(memoryview(buf)[: size - n])
-        _wipe(buf)
-        return plain
-    del buf[size - n :]
-    return buf
+    return memoryview(buf)[: size - n]
+
+
+def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> memoryview:
+    """Invert ecb_encrypt, verifying the PKCS#7 padding.
+
+    Returns a view of the plaintext at the start of one fresh buffer, which
+    is never resized; on a padding failure the buffer is zeroed first.
+    """
+    return _ecb_decrypt_into(ciphertext, _ecb_buffer(len(ciphertext)), key)
 
 
 def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int,

@@ -50,8 +50,8 @@ from typing import Callable, Optional
 
 from .container import (HEADER_SIZE, ContainerHeader, SealedFormat, chunk_slices, decode,
                         decode_header, detect_format, header_len)
-from .crypto import (CipherMode, KeyMaterial, _secret_buffer, _wipe, ctr_crypt, ecb_decrypt,
-                     sha256)
+from .crypto import (CipherMode, KeyMaterial, _ecb_buffer, _ecb_decrypt_into, _secret_buffer,
+                     _wipe, ctr_crypt, ecb_decrypt, sha256)
 from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
                      ModeError, RangeError)
 from .sealer import _read_exactly, _reading
@@ -62,12 +62,12 @@ class ModelBlob:
 
     The digest check stands in for "the model loads": feed ``data`` to
     your interpreter, then call release() to zero the buffer. The buffer is
-    a ``bytearray``, or for a container plaintext of 2 MiB or more an
-    anonymous mapping of its own (see ``crypto._secret_buffer``); either
-    way it is wiped in place by release() and freed when collected.
+    a ``bytearray`` (a raw plaintext is a view of the start of one) or, for
+    a container plaintext of 2 MiB or more, a mapping of its own (see
+    ``crypto._secret_buffer``); release() zeroes every plaintext byte in place.
     """
 
-    def __init__(self, buf: bytearray | mmap.mmap, source_mode: CipherMode):
+    def __init__(self, buf: bytearray | mmap.mmap | memoryview, source_mode: CipherMode):
         self._buf = buf
         self.source_mode = source_mode
         self._released = False
@@ -160,9 +160,13 @@ def _unseal_chunks(header: ContainerHeader, key: KeyMaterial, next_chunk,
     return blob
 
 
-def _unseal_container(sealed, key: KeyMaterial, on_chunk=None, cancelled=None) -> ModelBlob:
-    if detect_format(sealed) is not SealedFormat.CONTAINER:
+def _require_container(head) -> None:
+    if detect_format(head) is not SealedFormat.CONTAINER:
         raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
+
+
+def _unseal_container(sealed, key: KeyMaterial, on_chunk=None, cancelled=None) -> ModelBlob:
+    _require_container(sealed)
     header = decode(sealed, len(sealed))
     payload = memoryview(sealed)[len(sealed) - header.plaintext_len:]
     return _unseal_chunks(header, key, lambda span, out: payload[span], on_chunk, cancelled)
@@ -195,25 +199,29 @@ def unseal_parallel(sealed: bytes, key: KeyMaterial, workers: int | None = None)
 def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = None) -> ModelBlob:
     """Decrypt the sealed artifact at ``path`` in memory; None detects the format.
 
-    A container in a regular file is read chunk by chunk into the blob
-    buffer, every read bounded by the file's size (IoError if it shrinks),
-    and decrypted there in place. Anything else, such as a raw ``.dat`` or
-    a FIFO, is read whole, once, and unsealed from memory.
+    In a regular file a container is read chunk by chunk, and a raw ``.dat``
+    whole, into the buffer it is decrypted in, every read bounded by the file's
+    size (IoError if it shrinks). Anything else, such as a FIFO, is read whole, once.
     """
     with _reading(path):
         source = open(path, "rb", buffering=0)
     with source, _reading(path):
         info = os.fstat(source.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else 0
-        found = detect_format(os.pread(source.fileno(), HEADER_SIZE, 0)) if size else None
-        if found is not SealedFormat.CONTAINER or declared_format is SealedFormat.RAW_DAT:
+        if not size:
             sealed = source.readall()
             return unseal(sealed, key, declared_format or detect_format(sealed))
+        prefix = os.pread(source.fileno(), HEADER_SIZE, 0)
 
         def read(buf):
             _read_exactly(source, buf, path, "unsealed")
             return buf
 
+        if (declared_format or detect_format(prefix)) is SealedFormat.RAW_DAT:
+            buf = _ecb_buffer(size)
+            ciphertext = read(memoryview(buf)[:size])
+            return ModelBlob(_ecb_decrypt_into(ciphertext, buf, key), CipherMode.RAW_ECB_PKCS7)
+        _require_container(prefix)
         head = read(bytearray(min(size, HEADER_SIZE)))
         head += read(bytearray(header_len(decode_header(head, size).chunk_count) - len(head)))
         return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))

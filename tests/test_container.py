@@ -74,17 +74,17 @@ class TestChunkMath:
     @given(length=st.integers(min_value=0, max_value=500_000),
            size=st.integers(min_value=1, max_value=70_000))
     def test_table_tiles_exactly(self, length, size):
-        spans = list(chunk_slices(length, size))
-        assert len(spans) == chunk_count_for(length, size)
-        offset = 0
-        for span in spans:
+        # One pass, no list: the worst example yields 500 000 spans.
+        count = offset = 0
+        width = size  # of the span before; every chunk but the last is full
+        for span in chunk_slices(length, size):
+            assert width == size
             assert span.start == offset
-            offset = span.stop
+            width, offset = span.stop - span.start, span.stop
+            count += 1
+        assert count == chunk_count_for(length, size)
         assert offset == length
-        # every chunk but the last is full
-        for span in spans[:-1]:
-            assert span.stop - span.start == size
-        assert 0 <= spans[-1].stop - spans[-1].start <= size
+        assert 0 <= width <= size
 
 
 class TestEncode:

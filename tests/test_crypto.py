@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import aes_reference as ref
 from modelvault import crypto as crypto_mod
+from modelvault import unsealer as unsealer_mod
 from modelvault.crypto import (BLOCK_SIZE, KEY_BYTES, PASSPHRASE_CHARS,
                                CipherMode, KeyMaterial, ctr_crypt,
                                decrypt_block, derive_key, ecb_decrypt,
@@ -21,6 +22,7 @@ from modelvault.crypto import (BLOCK_SIZE, KEY_BYTES, PASSPHRASE_CHARS,
                                sha256)
 from modelvault.errors import (EncodingError, HexError, LengthError,
                                PaddingError, RangeError)
+from modelvault.unsealer import ModelBlob
 from conftest import FIPS_KEY_BYTES
 
 FIPS_PLAINTEXT = bytes.fromhex("00112233445566778899aabbccddeeff")
@@ -208,9 +210,9 @@ class TestEcb:
     @pytest.mark.parametrize("n", range(32))
     def test_short_plaintext_leaves_no_unwiped_buffer(self, fips_key,
                                                       monkeypatch, n):
-        # Cutting a bytearray below half of its len + 1 byte block makes
-        # CPython reallocate it and free the old block as it stands, so
-        # there the decrypt buffer must be zeroed before it is dropped.
+        # The plaintext is a view of the start of the one buffer it was
+        # decrypted in, which is never resized, so no move can leave an
+        # unwiped copy behind, and release() zeroes it in place.
         wiped = []
         real = crypto_mod._wipe
 
@@ -219,17 +221,21 @@ class TestEcb:
             wiped.append(buf)
 
         monkeypatch.setattr(crypto_mod, "_wipe", recording_wipe)
+        monkeypatch.setattr(unsealer_mod, "_wipe", recording_wipe)
         data = bytes(range(1, n + 1))
         sealed = bytes(ecb_encrypt(data, fips_key))
         plain = ecb_decrypt(sealed, fips_key)
-        assert plain == data
-        decrypt_buffer = len(sealed) + BLOCK_SIZE - 1
-        if 2 * n < decrypt_buffer + 1:
-            [buf] = wiped
-            assert buf is not plain and len(buf) == decrypt_buffer
-            assert not any(buf)
-        else:
-            assert wiped == []  # cut in place, no copy
+        assert isinstance(plain, memoryview) and plain == data
+        buf = plain.obj
+        assert type(buf) is bytearray and len(buf) == len(sealed) + BLOCK_SIZE - 1
+        assert wiped == []  # no second buffer held the plaintext
+        blob = ModelBlob(plain, CipherMode.RAW_ECB_PKCS7)
+        assert blob.data.obj is buf
+        blob.release()
+        assert wiped == [plain]
+        pad = len(sealed) - n
+        # Only the padding, which ecb_encrypt derives from the length alone, is left.
+        assert buf == bytes(n) + bytes([pad]) * pad + bytes(BLOCK_SIZE - 1)
 
     def test_wrong_key_never_returns_plaintext(self, fips_key, other_key):
         data = b"secret weights"

@@ -1,6 +1,7 @@
 """Unit tests for in-memory unsealing: sync, parallel, and background."""
 
 import gc
+import io
 import mmap
 import os
 import struct
@@ -20,7 +21,7 @@ from modelvault.container import HEADER_SIZE, MAGIC, SealedFormat, decode
 from modelvault.crypto import CipherMode, KeyMaterial, decrypt_block, sha256
 from modelvault.errors import (CancelledError, ContainerError, CrcError,
                                DigestError, InvariantError, IoError,
-                               KeyMismatchError, ModelVaultError, ModeError,
+                               KeyMismatchError, LengthError, ModelVaultError, ModeError,
                                PaddingError, RangeError, TruncationError,
                                VersionError)
 from modelvault.sealer import seal
@@ -559,6 +560,37 @@ def _write(tmp_path, data):
     return path
 
 
+def counting_reads(monkeypatch):
+    """Record the bytes unseal_file reads; returns (file reads, pread counts).
+
+    The file reads are every ``readinto`` and ``readall`` on the file that
+    unseal_file opens; the pread counts are its positioned header reads.
+    """
+    reads, preads = [], []
+    real_pread = os.pread
+
+    class CountingFile(io.FileIO):
+        def readinto(self, buf):
+            n = super().readinto(buf)
+            reads.append(n)
+            return n
+
+        def readall(self):
+            data = super().readall()
+            reads.append(len(data))
+            return data
+
+    def counting_pread(fd, n, offset):
+        data = real_pread(fd, n, offset)
+        preads.append(len(data))
+        return data
+
+    monkeypatch.setattr(unsealer_mod, "open", lambda path, mode, buffering: CountingFile(path),
+                        raising=False)
+    monkeypatch.setattr(os, "pread", counting_pread)
+    return reads, preads
+
+
 class TestUnsealFile:
     @pytest.mark.parametrize("reader", ["bytes", "file"])
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
@@ -601,6 +633,88 @@ class TestUnsealFile:
         assert blob.to_bytes() == MODEL
         assert blob.source_mode is CipherMode.RAW_ECB_PKCS7
 
+    def test_raw_dat_is_decrypted_in_the_buffer_it_is_read_into(self, raw_bytes, fips_key,
+                                                                 tmp_path, monkeypatch):
+        reads, preads = counting_reads(monkeypatch)
+        blob = unseal_file(_write(tmp_path, raw_bytes), fips_key)
+        assert blob.to_bytes() == MODEL
+        assert sum(reads) == len(raw_bytes) and preads == [HEADER_SIZE]
+        buf = blob.data.obj
+        assert type(buf) is bytearray and len(buf) == len(raw_bytes) + 15
+        blob.release()
+        pad = len(raw_bytes) - len(MODEL)
+        assert buf == bytes(len(MODEL)) + bytes([pad]) * pad + bytes(15)
+
+    def test_raw_dat_holds_the_plaintext_once(self, fips_key, tmp_path):
+        size = 8 * 1024 * 1024
+        sealed, _ = seal(bytes(size), fips_key, mode=CipherMode.RAW_ECB_PKCS7)
+        path = _write(tmp_path, sealed)
+        del sealed
+        tracemalloc.start()
+        try:
+            blob = unseal_file(path, fips_key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(blob) == size
+        assert peak <= 1.05 * size
+
+    def test_raw_dat_that_shrinks_raises(self, raw_bytes, fips_key, tmp_path, monkeypatch):
+        path = _write(tmp_path, raw_bytes)
+        real = unsealer_mod._read_exactly
+
+        def truncate_then_read(source, buf, *args):
+            with open(path, "r+b") as handle:
+                handle.truncate(len(raw_bytes) - 16)
+            return real(source, buf, *args)
+
+        monkeypatch.setattr(unsealer_mod, "_read_exactly", truncate_then_read)
+        with pytest.raises(IoError, match="changed while it was being unsealed") as info:
+            unseal_file(path, fips_key)
+        assert info.value.path == str(path)
+
+    @pytest.mark.parametrize("declared", [None, SealedFormat.RAW_DAT])
+    def test_raw_dat_of_a_bad_length_reads_and_allocates_nothing(self, fips_key, tmp_path,
+                                                                 monkeypatch, declared):
+        path = _write(tmp_path, b"not a container")
+        os.truncate(path, 8 * 1024 * 1024 + 1)  # sparse: 8 MiB and one byte
+        reads, _ = counting_reads(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(LengthError):
+                unseal_file(path, fips_key, declared)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert reads == []
+        assert peak < 1024 * 1024
+
+    def test_raw_dat_wrong_key_fails_padding_and_wipes(self, raw_bytes, other_key, tmp_path,
+                                                       monkeypatch):
+        wiped = []
+        real = crypto_mod._wipe
+
+        def recording_wipe(buf):
+            real(buf)
+            wiped.append(buf)
+
+        monkeypatch.setattr(crypto_mod, "_wipe", recording_wipe)
+        with pytest.raises(PaddingError):
+            unseal_file(_write(tmp_path, raw_bytes), other_key)
+        [buf] = wiped
+        assert len(buf) == len(raw_bytes) + 15 and not any(buf)
+
+    def test_raw_dat_declared_container_reads_only_the_header(self, raw_bytes, fips_key,
+                                                              tmp_path, monkeypatch):
+        path = _write(tmp_path, raw_bytes)
+        with pytest.raises(ModeError) as from_bytes:
+            unseal(raw_bytes, fips_key, SealedFormat.CONTAINER)
+        reads, preads = counting_reads(monkeypatch)
+        with pytest.raises(ModeError) as from_file:
+            unseal_file(path, fips_key, SealedFormat.CONTAINER)
+        assert str(from_file.value) == str(from_bytes.value)
+        assert reads == [] and preads == [HEADER_SIZE]
+
     def test_empty_container(self, fips_key, tmp_path):
         sealed, _ = seal(b"", fips_key)
         assert unseal_file(_write(tmp_path, sealed), fips_key).to_bytes() == b""
@@ -611,7 +725,9 @@ class TestUnsealFile:
         sealed, _ = seal(model, fips_key, mode=CipherMode.RAW_ECB_PKCS7)
         assert sealed[:4] == MAGIC
         path = _write(tmp_path, sealed)
-        assert unseal_file(path, fips_key, SealedFormat.RAW_DAT).to_bytes() == model
+        blob = unseal_file(path, fips_key, SealedFormat.RAW_DAT)
+        assert blob.to_bytes() == model
+        assert len(blob.data.obj) == len(sealed) + 15  # decrypted where it was read
         with pytest.raises(ContainerError):
             unseal_file(path, fips_key)
 
@@ -627,6 +743,20 @@ class TestUnsealFile:
         writer.join(timeout=10)
         assert not writer.is_alive()
         assert blob.to_bytes() == MODEL
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("declared", [None, SealedFormat.RAW_DAT])
+    def test_raw_fifo_is_read_whole(self, raw_bytes, fips_key, tmp_path, declared):
+        fifo = tmp_path / "sealed.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(bytes(raw_bytes),),
+                                  daemon=True)
+        writer.start()
+        blob = unseal_file(fifo, fips_key, declared)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert blob.to_bytes() == MODEL
+        assert blob.source_mode is CipherMode.RAW_ECB_PKCS7
 
     def test_wrong_key_allocates_no_buffer(self, container_bytes, other_key, tmp_path,
                                            monkeypatch):
