@@ -137,7 +137,7 @@ def cmd_seal(args) -> int:
     report = seal_file(Path(args.input), out, key, mode=mode,
                        chunk_size=args.chunk_size,
                        write_manifest=not args.no_manifest)
-    _print_report({**report.manifest(), "out": str(out)}, out)
+    _print_report({**report.manifest(), "commit_ms": report.commit_ms, "out": str(out)}, out)
     return 0
 
 

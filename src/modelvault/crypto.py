@@ -241,12 +241,20 @@ def ecb_encrypt(plaintext: bytes, key: KeyMaterial) -> bytearray:
     return buf
 
 
-def _ecb_buffer(size: int) -> bytearray:
+def _ecb_buffer(size: int, ciphertext: bytearray | None = None) -> bytearray:
+    """A buffer to decrypt ``size`` bytes of ciphertext in, with the slack it needs.
+
+    Given ``ciphertext``, a bytearray that holds exactly those bytes, the
+    buffer is that one, grown by the slack; otherwise it is a fresh one.
+    """
     if size == 0 or size % BLOCK_SIZE:
         raise LengthError(
             f"ciphertext length must be a positive multiple of {BLOCK_SIZE}, got {size}"
         )
-    return bytearray(size + _ECB_SLACK)
+    if ciphertext is None:
+        return bytearray(size + _ECB_SLACK)
+    ciphertext.extend(_ZEROS[:_ECB_SLACK])
+    return ciphertext
 
 
 def _ecb_decrypt_into(ciphertext, buf: bytearray, key: KeyMaterial) -> memoryview:

@@ -56,6 +56,10 @@ from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultEr
                      ModeError, RangeError)
 from .sealer import _read_exactly, _reading
 
+# A pipe holds 64 KiB by default, so a larger read from one gains nothing,
+# and the bytes of one read are a small transient beside the growing buffer.
+_PIPE_READ = 64 * 1024
+
 
 class ModelBlob:
     """Decrypted model bytes held in memory, plus their SHA-256 digest.
@@ -201,7 +205,9 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
 
     In a regular file a container is read chunk by chunk, and a raw ``.dat``
     whole, into the buffer it is decrypted in, every read bounded by the file's
-    size (IoError if it shrinks). Anything else, such as a FIFO, is read whole, once.
+    size (IoError if it shrinks). Anything else, such as a FIFO, is read whole,
+    once, into one bytearray; a raw ``.dat`` is decrypted there in place, while a
+    container is decrypted from it into a second buffer.
     """
     with _reading(path):
         source = open(path, "rb", buffering=0)
@@ -209,22 +215,31 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
         info = os.fstat(source.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else 0
         if not size:
-            sealed = source.readall()
-            return unseal(sealed, key, declared_format or detect_format(sealed))
-        prefix = os.pread(source.fileno(), HEADER_SIZE, 0)
+            sealed = bytearray()
+            while chunk := source.read(_PIPE_READ):
+                sealed += chunk  # grown in place: the sealed bytes are held once
+            declared_format = declared_format or detect_format(sealed)
+            if declared_format is not SealedFormat.RAW_DAT:
+                return unseal(sealed, key, declared_format)
+            size = len(sealed)
+            buf = _ecb_buffer(size, sealed)
+        else:
+            prefix = os.pread(source.fileno(), HEADER_SIZE, 0)
 
-        def read(buf):
-            _read_exactly(source, buf, path, "unsealed")
-            return buf
+            def read(buf):
+                _read_exactly(source, buf, path, "unsealed")
+                return buf
 
-        if (declared_format or detect_format(prefix)) is SealedFormat.RAW_DAT:
+            if (declared_format or detect_format(prefix)) is not SealedFormat.RAW_DAT:
+                _require_container(prefix)
+                head = read(bytearray(min(size, HEADER_SIZE)))
+                head += read(bytearray(header_len(decode_header(head, size).chunk_count)
+                                       - len(head)))
+                return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
             buf = _ecb_buffer(size)
-            ciphertext = read(memoryview(buf)[:size])
-            return ModelBlob(_ecb_decrypt_into(ciphertext, buf, key), CipherMode.RAW_ECB_PKCS7)
-        _require_container(prefix)
-        head = read(bytearray(min(size, HEADER_SIZE)))
-        head += read(bytearray(header_len(decode_header(head, size).chunk_count) - len(head)))
-        return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
+            read(memoryview(buf)[:size])
+    plaintext = _ecb_decrypt_into(memoryview(buf)[:size], buf, key)
+    return ModelBlob(plaintext, CipherMode.RAW_ECB_PKCS7)
 
 
 class UnsealHandle:

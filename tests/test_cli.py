@@ -130,8 +130,10 @@ class TestSealCli:
         assert manifest["input_len"] == len(MODEL)
         assert manifest["mode"] == "ctr"
         assert manifest["out"] == str(out_path)
+        assert manifest["commit_ms"] > 0.0
         assert out_path.exists()
-        assert (tmp_path / "sealed.mvc.manifest.json").exists()
+        sidecar = json.loads((tmp_path / "sealed.mvc.manifest.json").read_text())
+        assert set(manifest) - set(sidecar) == {"commit_ms", "out"}
 
     def test_default_output_suffix(self, capsys, model_file):
         code, out, _ = run(capsys, "seal", str(model_file),

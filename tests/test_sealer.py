@@ -165,7 +165,7 @@ class TestSealReport:
 
     def test_in_memory_seal_has_no_storage_time(self, fips_key):
         _, report = seal(MODEL, fips_key)
-        assert report.storage_ms == 0.0
+        assert report.storage_ms == report.commit_ms == 0.0
         assert report.encrypt_ms > 0.0
 
     @pytest.mark.parametrize("mode", list(CipherMode))
@@ -198,6 +198,7 @@ class TestSealReport:
         assert report.hash_ms >= 50.0
         assert report.encrypt_ms < 50.0
         assert report.storage_ms < 50.0
+        assert report.commit_ms < 50.0
 
 
 class TestSealFile:
@@ -211,6 +212,7 @@ class TestSealFile:
         manifest = json.loads((tmp_path / "model.mvc.manifest.json").read_text())
         assert manifest["sha256_hex"] == report.plaintext_digest.hex()
         assert manifest["storage_ms"] == report.storage_ms > 0.0
+        assert report.commit_ms > 0.0 and "commit_ms" not in manifest
 
     def test_manifest_can_be_skipped(self, tmp_path, fips_key):
         src = tmp_path / "model.bin"
@@ -545,3 +547,200 @@ class TestSealFileOutputs:
         seal_file(src, link, fips_key, chunk_size=4096, write_manifest=False)
         assert link.is_symlink()
         assert bytes(unseal(target.read_bytes(), fips_key, SealedFormat.CONTAINER).data) == MODEL
+
+
+def _record_kicks(monkeypatch, result=0):
+    """Replace sync_file_range with a recorder; returns its (offset, length) calls."""
+    kicks = []
+
+    def recording(fd, offset, length, flags):
+        assert flags == sealer_mod._SYNC_FILE_RANGE_WRITE
+        kicks.append((offset, length))
+        return result
+
+    monkeypatch.setattr(sealer_mod, "_sync_file_range", recording)
+    return kicks
+
+
+def _covered(kicks, size):
+    """Whether the kicked ranges, a length of 0 running to the end, cover [0, size)."""
+    reached = 0
+    for offset, length in sorted(kicks):
+        if offset > reached:
+            return False
+        reached = max(reached, offset + length if length else size)
+    return reached >= size
+
+
+class TestEarlyWriteback:
+    """Replacing a regular file starts the temp file's writeback before the rename."""
+
+    SIZE = 3 * sealer_mod._WRITEBACK_WINDOW + 12345
+
+    @pytest.mark.parametrize("chunk_size", [MIN_CHUNK_SIZE, DEFAULT_CHUNK_SIZE])
+    def test_a_reseal_starts_writeback_of_every_byte_before_the_rename(
+            self, tmp_path, fips_key, monkeypatch, chunk_size):
+        model = random.Random(1).randbytes(self.SIZE)
+        src = tmp_path / "model.bin"
+        src.write_bytes(model)
+        out = tmp_path / "model.mvc"
+        out.write_bytes(b"old artifact")
+        kicks = _record_kicks(monkeypatch)
+        at_rename = []
+        real_replace = os.replace
+
+        def recording_replace(tmp, dst):
+            if dst == out:
+                at_rename.append((list(kicks), os.stat(tmp).st_size))
+            return real_replace(tmp, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        report = seal_file(src, out, fips_key, chunk_size=chunk_size)
+        [(before, tmp_size)] = at_rename
+        assert tmp_size == report.output_len
+        assert _covered(before, tmp_size)
+        windows = -(-self.SIZE // sealer_mod._WRITEBACK_WINDOW)
+        assert 1 < len(before) <= windows + 1  # windows while sealing, then the whole file
+        assert before[-1] == (0, 0)
+        assert bytes(unseal(out.read_bytes(), fips_key, SealedFormat.CONTAINER).data) == model
+        assert report.commit_ms > 0.0
+
+    def test_a_new_path_gets_none(self, tmp_path, fips_key, monkeypatch):
+        src = tmp_path / "model.bin"
+        src.write_bytes(bytes(self.SIZE))
+        kicks = _record_kicks(monkeypatch)
+        seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=MIN_CHUNK_SIZE)
+        assert (tmp_path / "model.mvc").stat().st_size > self.SIZE
+        assert kicks == []
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_a_fifo_gets_none(self, tmp_path, fips_key, monkeypatch):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        kicks = _record_kicks(monkeypatch)
+        seal_file(src, fifo, fips_key, chunk_size=MIN_CHUNK_SIZE, write_manifest=False)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert bytes(unseal(received[0], fips_key, SealedFormat.CONTAINER).data) == MODEL
+        assert kicks == []
+
+    def test_a_replaced_manifest_gets_one(self, tmp_path, fips_key, monkeypatch):
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        out = tmp_path / "model.mvc"
+        seal_file(src, out, fips_key)
+        kicks = _record_kicks(monkeypatch)
+        seal_file(src, out, fips_key)
+        assert kicks == [(0, 0), (0, 0)]  # the artifact, then its manifest
+
+    def test_a_slow_kick_counts_in_commit_ms_not_storage_ms(self, tmp_path, fips_key,
+                                                            monkeypatch):
+        src = tmp_path / "model.bin"
+        src.write_bytes(bytes(2 * sealer_mod._WRITEBACK_WINDOW))
+        out = tmp_path / "model.mvc"
+        out.write_bytes(b"old artifact")
+
+        def slow(fd, offset, length, flags):
+            time.sleep(0.05)
+            return 0
+
+        monkeypatch.setattr(sealer_mod, "_sync_file_range", slow)
+        report = seal_file(src, out, fips_key, write_manifest=False)
+        assert report.commit_ms >= 150.0  # two windows and the whole file
+        assert report.storage_ms < 50.0
+
+
+class TestCommitCrashPoints:
+    """Each step of replacing an artifact fails in turn; the old one survives whole."""
+
+    SIZE = sealer_mod._WRITEBACK_WINDOW + 54321  # one window, then the whole file
+
+    @pytest.fixture
+    def paths(self, tmp_path, fixed_nonce):
+        src = tmp_path / "model.bin"
+        src.write_bytes(random.Random(2).randbytes(self.SIZE))
+        out = tmp_path / "model.mvc"
+        out.write_bytes(b"the whole old artifact")
+        return src, out
+
+    def _fail_write(self, monkeypatch):
+        real_fdopen = os.fdopen
+
+        class FailingWrite:
+            def __init__(self, handle):
+                self.handle = handle
+
+            def write(self, data):
+                raise OSError(errno.EIO, "Input/output error")
+
+            def __getattr__(self, name):
+                return getattr(self.handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self.handle.__exit__(*exc)
+
+        monkeypatch.setattr(os, "fdopen",
+                            lambda fd, mode: FailingWrite(real_fdopen(fd, mode)))
+
+    def _fail_kick(self, monkeypatch, nth):
+        calls = []
+
+        def failing(fd, offset, length, flags):
+            calls.append(offset)
+            if len(calls) == nth:
+                raise KeyboardInterrupt
+            return 0
+
+        monkeypatch.setattr(sealer_mod, "_sync_file_range", failing)
+
+    def _raise(self, *args, **kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    @pytest.mark.parametrize("step", ["mkstemp", "chmod", "write", "window-kick",
+                                      "final-kick", "replace"])
+    def test_a_failed_step_leaves_the_old_artifact(self, paths, fips_key, monkeypatch,
+                                                   step):
+        src, out = paths
+        if step == "mkstemp":
+            monkeypatch.setattr(sealer_mod.tempfile, "mkstemp", self._raise)
+        elif step == "chmod":
+            monkeypatch.setattr(os, "chmod", self._raise)
+        elif step == "write":
+            self._fail_write(monkeypatch)
+        elif step == "window-kick":
+            self._fail_kick(monkeypatch, 1)
+        elif step == "final-kick":
+            self._fail_kick(monkeypatch, 2)
+        else:
+            monkeypatch.setattr(os, "replace", self._raise)
+        expected = KeyboardInterrupt if step.endswith("kick") else IoError
+        with pytest.raises(expected):
+            seal_file(src, out, fips_key, chunk_size=MIN_CHUNK_SIZE, write_manifest=False)
+        assert out.read_bytes() == b"the whole old artifact"
+        assert _leftovers(out.parent, "model.bin", "model.mvc") == []
+
+    @pytest.mark.parametrize("kick", ["failing", "missing"])
+    def test_a_failing_or_missing_kick_seals_the_same_bytes(self, paths, fips_key,
+                                                            monkeypatch, kick):
+        src, out = paths
+        if kick == "failing":
+            kicks = _record_kicks(monkeypatch, result=-1)
+        else:
+            monkeypatch.setattr(sealer_mod, "_sync_file_range", None)
+        report = seal_file(src, out, fips_key, chunk_size=MIN_CHUNK_SIZE,
+                           write_manifest=False)
+        sealed, _ = seal(src.read_bytes(), fips_key, chunk_size=MIN_CHUNK_SIZE)
+        assert out.read_bytes() == sealed
+        assert report.output_len == len(sealed)
+        if kick == "failing":
+            assert len(kicks) == 2
+        assert _leftovers(out.parent, "model.bin", "model.mvc") == []

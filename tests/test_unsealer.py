@@ -758,6 +758,40 @@ class TestUnsealFile:
         assert blob.to_bytes() == MODEL
         assert blob.source_mode is CipherMode.RAW_ECB_PKCS7
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_raw_fifo_is_decrypted_in_the_buffer_it_is_read_into(self, fips_key, tmp_path):
+        size = 8 * 1024 * 1024
+        sealed, _ = seal(bytes(size), fips_key, mode=CipherMode.RAW_ECB_PKCS7)
+        sealed = bytes(sealed)
+        fifo = tmp_path / "sealed.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(sealed,), daemon=True)
+        tracemalloc.start()
+        try:
+            writer.start()
+            blob = unseal_file(fifo, fips_key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert blob.data == bytes(size)
+        assert len(blob.data.obj) == len(sealed) + 15
+        assert peak <= 1.2 * size
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("length", [0, 17])
+    def test_raw_fifo_of_a_bad_length_raises(self, fips_key, tmp_path, length):
+        fifo = tmp_path / "sealed.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(bytes(length),),
+                                  daemon=True)
+        writer.start()
+        with pytest.raises(LengthError):
+            unseal_file(fifo, fips_key, SealedFormat.RAW_DAT)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
     def test_wrong_key_allocates_no_buffer(self, container_bytes, other_key, tmp_path,
                                            monkeypatch):
         calls = counting_decrypt(monkeypatch)
