@@ -15,10 +15,13 @@ model: it reserves the header's bytes at the start of the output, reads,
 hashes, encrypts in place and writes each chunk, then writes the header
 at offset 0. A model file that changes size meanwhile is refused.
 Raw mode, an input whose size is not known up front, and an output that
-cannot seek are handled whole in memory: an input that is not a regular
+cannot seek are handled whole in memory, through the same code as
+``seal``: the model is read into one ``bytearray``, which is wiped once
+it is sealed. A regular file is read into a buffer of its size (and
+refused if it changes size meanwhile); an input that is not a regular
 file (a FIFO, ``/dev/stdin``), or a regular file whose size reads 0 (a
-procfs pseudo-file), is read whole; an empty file seals to the same
-bytes either way.
+procfs pseudo-file), grows the buffer until it ends. An empty file seals
+to the same bytes either way.
 
 Every output (the artifact, its manifest, ``mvc unseal --out``) goes
 through ``_atomic_output``: a new or regular path is replaced atomically
@@ -28,19 +31,23 @@ a manifest, it refuses, before opening anything, an output that is
 neither new nor, links followed, a regular file, such as a FIFO.
 
 When the rename will replace a regular file, the temp file's writeback
-is started early: ``seal_file`` starts it for each window of
-``_WRITEBACK_WINDOW`` bytes as soon as the window is written, so the disk
-takes it while the next chunk is hashed and encrypted, and
-``_atomic_output`` starts it for the whole file just before the rename.
-ext4 (``auto_da_alloc``) starts the same writeback inside a rename that
-replaces a file, and the rename waits while it is submitted; started
-early, it leaves the rename nothing to flush. Nothing waits for the disk
-and nothing is fsynced, so what a crash can leave is unchanged. A new
-path gets no early writeback, as its rename never forced one; nor does
-anything written through.
+is started early. ``_atomic_output`` yields a ``written(end)`` callback
+with the file: ``seal_file`` calls it as each chunk is written, and it
+starts the writeback of every whole window of ``_WRITEBACK_WINDOW``
+bytes written since the last start, so the disk takes it while the next
+chunk is hashed and encrypted; ``_atomic_output`` then starts it for the
+whole file just before the rename. ext4 (``auto_da_alloc``) starts the
+same writeback inside a rename that replaces a file, and the rename
+waits while it is submitted; started early, it leaves the rename nothing
+to flush. Nothing waits for the disk and nothing is fsynced, so what a
+crash can leave is unchanged. A new path gets no early writeback, as its
+rename never forced one; nor does anything written through, for which
+``written`` does nothing.
 
 Timing split mirrors the two-column reporting convention this toolkit
-benchmarks against, with the digest and the commit timed on their own:
+benchmarks against, with the digest and the commit timed on their own.
+Each phase is timed into one ``_Phases`` record, keyed by the
+``SealReport`` field it fills, and the report is built from it:
 
 * ``hash_ms`` -- SHA-256 of the plaintext.
 * ``encrypt_ms`` -- the cipher work: the CTR calls on the chunks of a
@@ -49,9 +56,9 @@ benchmarks against, with the digest and the commit timed on their own:
   (chunk by chunk when streamed, then the header) plus the flush to the
   OS. 0 for ``seal``.
 * ``commit_ms`` -- for ``seal_file``, the rest of the artifact's output:
-  creating the temp file (or opening a written-through output), the
-  writeback starts, the close and the rename. 0 for ``seal``. It is not
-  in the manifest.
+  creating the temp file (or opening a written-through output), setting
+  its mode, the writeback starts, the close and the rename. 0 for
+  ``seal``. It is not in the manifest.
 
 Reading the model file and writing the manifest are in none of them.
 """
@@ -67,7 +74,7 @@ import secrets
 import stat
 import tempfile
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .container import (
@@ -88,6 +95,10 @@ MIN_CHUNK_SIZE = 4096
 # bytes; 1, 4 and 8 MiB sealed the paper's six sizes equally fast.
 _WRITEBACK_WINDOW = 1 << 20
 _SYNC_FILE_RANGE_WRITE = 2  # start writeback of dirty pages; do not wait
+
+# A pipe holds 64 KiB by default, so a larger read from one gains nothing,
+# and the bytes of one read are a small transient beside the growing buffer.
+_PIPE_READ = 64 * 1024
 
 try:
     _sync_file_range = ctypes.CDLL(None).sync_file_range
@@ -127,6 +138,26 @@ def _now_ms() -> float:
     return time.perf_counter_ns() / 1e6
 
 
+class _Phases(dict):
+    """Milliseconds spent in each timed phase of one seal, by SealReport field name.
+
+    ``with phases("hash_ms"):`` adds the block's wall time to that phase.
+    """
+
+    def __init__(self):
+        super().__init__(hash_ms=0.0, encrypt_ms=0.0, storage_ms=0.0, commit_ms=0.0)
+
+    @contextlib.contextmanager
+    def __call__(self, name: str):
+        start = _now_ms()
+        yield
+        self[name] += _now_ms() - start
+
+    def report(self, input_len, output_len, mode, digest) -> SealReport:
+        """The report of a seal with these outcomes and these phase times."""
+        return SealReport(input_len, output_len, mode, plaintext_digest=digest, **self)
+
+
 def _check_chunk_size(mode: CipherMode, chunk_size: int) -> None:
     if mode is CipherMode.CHUNKED_CTR and not MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE:
         raise RangeError(f"chunk_size must be between {MIN_CHUNK_SIZE} and "
@@ -148,36 +179,32 @@ def seal(
     storage.
     """
     _check_chunk_size(mode, chunk_size)
-    size = len(model_bytes)
+    phases = _Phases()
+    sealed, digest = _seal(model_bytes, key, mode, chunk_size, phases)
+    return sealed, phases.report(len(model_bytes), len(sealed), mode, digest)
+
+
+def _seal(model, key: KeyMaterial, mode: CipherMode, chunk_size: int,
+          phases: _Phases) -> tuple[bytearray, bytes]:
+    """Seal the whole of ``model`` in memory; returns the artifact and the plaintext digest."""
     if mode is CipherMode.RAW_ECB_PKCS7:
-        start = _now_ms()
-        digest = sha256(model_bytes)
-        hash_ms = _now_ms() - start
-        sealed = ecb_encrypt(model_bytes, key)
-        encrypt_ms = _now_ms() - start - hash_ms
-    else:
-        head_len = header_len(chunk_count_for(size, chunk_size))
-        sealed = bytearray(head_len + size)
-        payload = memoryview(sealed)[head_len:]
-        source = memoryview(model_bytes)
-        head, digest, hash_ms, encrypt_ms = _seal_chunks(
-            size, key, chunk_size, lambda span: (source[span], payload[span]))
-        sealed[:head_len] = head
-
-    report = SealReport(
-        input_len=size,
-        output_len=len(sealed),
-        mode=mode,
-        encrypt_ms=encrypt_ms,
-        storage_ms=0.0,
-        plaintext_digest=digest,
-        hash_ms=hash_ms,
-    )
-    return sealed, report
+        with phases("hash_ms"):
+            digest = sha256(model)
+        with phases("encrypt_ms"):
+            return ecb_encrypt(model, key), digest
+    size = len(model)
+    head_len = header_len(chunk_count_for(size, chunk_size))
+    sealed = bytearray(head_len + size)
+    payload = memoryview(sealed)[head_len:]
+    source = memoryview(model)
+    head, digest = _seal_chunks(size, key, chunk_size, phases,
+                                lambda span: (source[span], payload[span]))
+    sealed[:head_len] = head
+    return sealed, digest
 
 
-def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
-                 emit=None) -> tuple[bytes, bytes, float, float]:
+def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, phases: _Phases, next_chunk,
+                 emit=None) -> tuple[bytes, bytes]:
     """The one container seal loop, shared by seal and seal_file.
 
     For each span of ``chunk_slices(size, chunk_size)``, ``next_chunk(span)``
@@ -186,23 +213,18 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
     hashes the plaintext, encrypts it into ``out``, and calls
     ``emit(out, span)``, if given, before asking for the next chunk.
 
-    Returns the packed header and chunk table, the plaintext digest, and
-    the milliseconds spent hashing and encrypting.
+    Returns the packed header and chunk table, and the plaintext digest.
     """
     nonce = secrets.token_bytes(NONCE_BYTES)
     hasher = hashlib.sha256()
-    hash_ms = crypt_ms = 0.0
     for index, span in enumerate(chunk_slices(size, chunk_size)):
         plaintext, out = next_chunk(span)
-        t0 = _now_ms()
-        hasher.update(plaintext)
-        t1 = _now_ms()
-        ctr_crypt(plaintext, key, nonce, index, out=out)
-        t2 = _now_ms()
+        with phases("hash_ms"):
+            hasher.update(plaintext)
+        with phases("encrypt_ms"):
+            ctr_crypt(plaintext, key, nonce, index, out=out)
         if emit is not None:
             emit(out, span)
-        hash_ms += t1 - t0
-        crypt_ms += t2 - t1
     digest = hasher.digest()
     header = ContainerHeader(
         mode=CipherMode.CHUNKED_CTR,
@@ -212,7 +234,7 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, next_chunk,
         chunk_size=chunk_size,
         plaintext_digest=digest,
     )
-    return encode_header(header), digest, hash_ms, crypt_ms
+    return encode_header(header), digest
 
 
 def seal_file(
@@ -245,29 +267,31 @@ def seal_file(
     with source:
         with _reading(input_path):
             info = os.fstat(source.fileno())
+        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
         with contextlib.suppress(OSError):  # a dangling link is not the model
             if output_path.is_symlink() and os.path.samestat(os.stat(output_path), info):
                 raise IoError(f"cannot write {output_path}: it is a link to the model "
                               f"file {input_path}", path=str(output_path))
-        commit = _Commit()
-        with _atomic_output(output_path, commit) as out:
-            if (mode is CipherMode.CHUNKED_CTR and stat.S_ISREG(info.st_mode)
-                    and info.st_size and out.seekable()):
-                report = _stream_container(source, info.st_size, input_path, out,
-                                           key, chunk_size, commit)
+        phases = _Phases()
+        with _atomic_output(output_path, phases) as (out, written):
+            if mode is CipherMode.CHUNKED_CTR and size and out.seekable():
+                output_len, digest = _stream_container(source, size, input_path, out, written,
+                                                       key, chunk_size, phases)
             else:
-                with _reading(input_path):
-                    model_bytes = source.readall()
-                sealed, report = seal(model_bytes, key, mode, chunk_size)
-                start = _now_ms()
-                out.write(sealed)
-                out.flush()
-                report = replace(report, storage_ms=_now_ms() - start)
-        report = replace(report, commit_ms=commit.ms)
+                model = _read_whole(source, size, input_path, "sealed")
+                try:
+                    sealed, digest = _seal(model, key, mode, chunk_size, phases)
+                    with phases("storage_ms"):
+                        out.write(sealed)
+                        out.flush()
+                finally:
+                    _wipe(model)
+                size, output_len = len(model), len(sealed)
+    report = phases.report(size, output_len, mode, digest)
 
     if write_manifest:
         manifest = json.dumps(report.manifest(), indent=2) + "\n"
-        with _atomic_output(output_path.with_name(output_path.name + ".manifest.json")) as out:
+        with _atomic_output(Path(f"{output_path}.manifest.json")) as (out, _):
             out.write(manifest.encode())
     return report
 
@@ -296,16 +320,44 @@ def _read_exactly(source, buf, path: Path, action: str) -> None:
             filled += n
 
 
-def _stream_container(source, size: int, input_path: Path, out,
-                      key: KeyMaterial, chunk_size: int, commit: _Commit) -> SealReport:
+def _check_ended(source, path: Path, action: str) -> None:
+    """IoError unless ``source`` is at its end, as it is not when ``path`` grew."""
+    with _reading(path):
+        if source.read(1):
+            raise _changed_error(path, action)
+
+
+def _read_whole(source, size: int, path: Path, action: str) -> bytearray:
+    """Read all of ``source`` into one bytearray, which the caller can wipe.
+
+    A nonzero ``size``, a regular file's, is read into a buffer of exactly
+    that size, and IoError is raised if ``path`` shrank or grew. Otherwise,
+    as for a FIFO, one buffer grows in place by pipe-sized reads until the
+    input ends.
+    """
+    if size:
+        buf = bytearray(size)
+        _read_exactly(source, buf, path, action)
+        _check_ended(source, path, action)
+        return buf
+    buf = bytearray()
+    with _reading(path):
+        while chunk := source.read(_PIPE_READ):
+            buf += chunk  # grown in place: the input is held once
+    return buf
+
+
+def _stream_container(source, size: int, input_path: Path, out, written,
+                      key: KeyMaterial, chunk_size: int, phases: _Phases) -> tuple[int, bytes]:
     """Seal ``size`` bytes from ``source`` into seekable ``out`` through one chunk buffer.
 
-    ``out`` is ``commit``'s output; each chunk written is reported to it.
+    ``written`` is ``out``'s callback from ``_atomic_output``; each chunk
+    written is reported to it. Returns the artifact's length and the
+    plaintext digest.
     """
     buf = bytearray(min(size, chunk_size))
     view = memoryview(buf)
     head_len = header_len(chunk_count_for(size, chunk_size))
-    write_ms = 0.0
 
     def read_chunk(span: slice) -> tuple[memoryview, memoryview]:
         chunk = view[: span.stop - span.start]
@@ -313,35 +365,21 @@ def _stream_container(source, size: int, input_path: Path, out,
         return chunk, chunk
 
     def write_chunk(chunk: memoryview, span: slice) -> None:
-        nonlocal write_ms
-        start = _now_ms()
-        out.write(chunk)
-        write_ms += _now_ms() - start
-        commit.written(out, head_len + span.stop)
+        with phases("storage_ms"):
+            out.write(chunk)
+        written(head_len + span.stop)
 
     try:
         out.seek(head_len)
-        head, digest, hash_ms, encrypt_ms = _seal_chunks(
-            size, key, chunk_size, read_chunk, write_chunk)
-        with _reading(input_path):
-            if source.read(1):
-                raise _changed_error(input_path, "sealed")
-        start = _now_ms()
-        out.seek(0)
-        out.write(head)
-        out.flush()
-        storage_ms = write_ms + _now_ms() - start
+        head, digest = _seal_chunks(size, key, chunk_size, phases, read_chunk, write_chunk)
+        _check_ended(source, input_path, "sealed")
+        with phases("storage_ms"):
+            out.seek(0)
+            out.write(head)
+            out.flush()
     finally:
         _wipe(buf)
-    return SealReport(
-        input_len=size,
-        output_len=head_len + size,
-        mode=CipherMode.CHUNKED_CTR,
-        encrypt_ms=encrypt_ms,
-        storage_ms=storage_ms,
-        plaintext_digest=digest,
-        hash_ms=hash_ms,
-    )
+    return head_len + size, digest
 
 
 def _start_writeback(fd: int, offset: int, length: int) -> None:
@@ -354,32 +392,9 @@ def _start_writeback(fd: int, offset: int, length: int) -> None:
         _sync_file_range(fd, offset, length, _SYNC_FILE_RANGE_WRITE)
 
 
-class _Commit:
-    """One ``_atomic_output``'s commit: its time, and its early writeback.
-
-    ``ms`` adds up the time spent creating the temp file or opening the
-    output, starting writeback, closing and renaming. ``_atomic_output``
-    sets ``replacing`` once the output is a temp file that will be renamed
-    over a regular file; only then is writeback started early.
-    """
-
-    def __init__(self):
-        self.ms = 0.0
-        self.replacing = False
-        self._started = 0  # writeback was started below this offset
-
-    def written(self, handle, end: int) -> None:
-        """``handle`` holds its first ``end`` bytes: start their writeback by whole windows."""
-        if self.replacing and end - self._started >= _WRITEBACK_WINDOW:
-            start = _now_ms()
-            _start_writeback(handle.fileno(), self._started, end - self._started)
-            self._started = end
-            self.ms += _now_ms() - start
-
-
 @contextlib.contextmanager
-def _atomic_output(path: Path, commit: _Commit | None = None):
-    """Yield a binary file whose contents end up at ``path``.
+def _atomic_output(path: Path, phases: _Phases | None = None):
+    """Yield ``(handle, written)``: a binary file whose contents end up at ``path``.
 
     A new or regular ``path`` is written through a temp file beside it,
     which takes the permission bits of the file it replaces (a new file
@@ -390,37 +405,47 @@ def _atomic_output(path: Path, commit: _Commit | None = None):
     over it would replace the node itself. An OSError is raised as IoError.
 
     A temp file that replaces a regular file has its whole writeback
-    started just before the rename. ``commit``, if given, learns whether
-    the output replaces a regular file and records the time spent here;
-    see ``_Commit``.
+    started just before the rename; ``written(end)``, called once the
+    handle holds its first ``end`` bytes, starts the writeback of each
+    whole ``_WRITEBACK_WINDOW`` of them sooner. For any other output it
+    does nothing. Everything here but the block is timed into
+    ``phases["commit_ms"]``, if given.
     """
-    commit = _Commit() if commit is None else commit
+    phases = _Phases() if phases is None else phases
     tmp_name = None
-    start = _now_ms()
     try:
-        try:
-            old = os.lstat(path)
-        except FileNotFoundError:
+        with phases("commit_ms"):
             old = None
-        if old is not None and not stat.S_ISREG(old.st_mode):
-            handle = open(path, "wb")
-        else:
-            fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                            suffix=".tmp")
-            handle = os.fdopen(fd, "wb")
+            with contextlib.suppress(FileNotFoundError):
+                old = os.lstat(path)
+            if old is not None and not stat.S_ISREG(old.st_mode):
+                handle = open(path, "wb")
+            else:
+                fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
+                                                suffix=".tmp")
+                handle = os.fdopen(fd, "wb")
+        replacing = tmp_name is not None and old is not None
+        started = 0  # writeback was started below this offset
+
+        def written(end: int) -> None:
+            nonlocal started
+            if replacing and end - started >= _WRITEBACK_WINDOW:
+                with phases("commit_ms"):
+                    _start_writeback(handle.fileno(), started, end - started)
+                started = end
+
         with handle:
-            if tmp_name is not None and old is not None:
-                os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
-                commit.replacing = True
-            commit.ms += _now_ms() - start
-            yield handle
-            start = _now_ms()
-            if commit.replacing:
-                handle.flush()
-                _start_writeback(handle.fileno(), 0, 0)
-        if tmp_name is not None:
-            os.replace(tmp_name, path)
-        commit.ms += _now_ms() - start
+            if replacing:
+                with phases("commit_ms"):
+                    os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
+            yield handle, written
+            with phases("commit_ms"):
+                if replacing:
+                    handle.flush()
+                    _start_writeback(handle.fileno(), 0, 0)
+                handle.close()
+                if tmp_name is not None:
+                    os.replace(tmp_name, path)
     except BaseException as exc:
         if tmp_name is not None:
             with contextlib.suppress(OSError):

@@ -7,7 +7,9 @@ loop, ``_unseal_chunks``, the mirror of the sealer's ``_seal_chunks``,
 which decrypts the chunks in order on the thread that runs it (AES holds
 the GIL, so more threads would not help), each into its slice of the
 blob's buffer. From sealed bytes a chunk is decrypted from a view of
-them; from a file it is read into its slice and decrypted in place:
+them; from a regular file it is read into its slice and decrypted in
+place; from a FIFO, which is read whole, it is decrypted in place where
+it was read:
 
 * unseal            - synchronous, on the calling thread
 * unseal_parallel   - the same, for containers only, under an older
@@ -34,8 +36,11 @@ private anonymous mapping of its own from ``crypto._secret_buffer``,
 backed by huge pages where the kernel allows. It is wiped in place by
 release(), unmapped when the blob and every view of it are collected, and
 counted by tracemalloc like heap memory. A smaller one, and every raw
-``.dat`` plaintext, lives in a ``bytearray`` on the heap. No dump, swap or
-lock property is claimed for either.
+``.dat`` plaintext, lives in a ``bytearray`` on the heap. So does a
+container read by ``unseal_file`` from a FIFO or another unsized input,
+whatever its size: it is decrypted in the ``bytearray`` it was read into,
+and its plaintext is the view of the payload behind the header. No dump,
+swap or lock property is claimed for any of them.
 """
 
 from __future__ import annotations
@@ -54,11 +59,7 @@ from .crypto import (CipherMode, KeyMaterial, _ecb_buffer, _ecb_decrypt_into, _s
                      _wipe, ctr_crypt, ecb_decrypt, sha256)
 from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
                      ModeError, RangeError)
-from .sealer import _read_exactly, _reading
-
-# A pipe holds 64 KiB by default, so a larger read from one gains nothing,
-# and the bytes of one read are a small transient beside the growing buffer.
-_PIPE_READ = 64 * 1024
+from .sealer import _read_exactly, _read_whole, _reading
 
 
 class ModelBlob:
@@ -66,8 +67,9 @@ class ModelBlob:
 
     The digest check stands in for "the model loads": feed ``data`` to
     your interpreter, then call release() to zero the buffer. The buffer is
-    a ``bytearray`` (a raw plaintext is a view of the start of one) or, for
-    a container plaintext of 2 MiB or more, a mapping of its own (see
+    a ``bytearray`` (a raw plaintext is a view of the start of one, and a
+    container read from a FIFO the view of its payload) or, for any other
+    container plaintext of 2 MiB or more, a mapping of its own (see
     ``crypto._secret_buffer``); release() zeroes every plaintext byte in place.
     """
 
@@ -133,20 +135,24 @@ def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memor
 
 
 def _unseal_chunks(header: ContainerHeader, key: KeyMaterial, next_chunk,
-                   on_chunk: ProgressSink | None = None, cancelled=None) -> ModelBlob:
+                   on_chunk: ProgressSink | None = None, cancelled=None,
+                   buf=None) -> ModelBlob:
     """Check the key fingerprint, then decrypt each chunk into the blob buffer.
 
+    The blob buffer is ``buf``, if given, a writable buffer of the
+    plaintext's length; otherwise a fresh one from ``_secret_buffer``.
     ``next_chunk(span, out)`` returns the ciphertext of the chunk whose
-    slice of the buffer is ``out``; it may fill ``out`` and return it. Each
-    chunk polls ``cancelled`` and reports to ``on_chunk``; the digest is
-    checked last, and the buffer is wiped on any failure.
+    slice of the buffer is ``out``; it may fill ``out``, or find it already
+    filled, and return it. Each chunk polls ``cancelled`` and reports to
+    ``on_chunk``; the digest is checked last, and the buffer is wiped on
+    any failure.
     """
     if header.key_fingerprint != key.fingerprint:
         raise KeyMismatchError(
             f"container was sealed under key {header.key_fingerprint.hex()}, "
             f"got {key.fingerprint.hex()}"
         )
-    buf = _secret_buffer(header.plaintext_len)
+    buf = _secret_buffer(header.plaintext_len) if buf is None else buf
     view = memoryview(buf)
     try:
         for index, span in enumerate(chunk_slices(header.plaintext_len, header.chunk_size)):
@@ -169,10 +175,15 @@ def _require_container(head) -> None:
         raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
 
 
-def _unseal_container(sealed, key: KeyMaterial, on_chunk=None, cancelled=None) -> ModelBlob:
+def _decode_container(sealed) -> tuple[ContainerHeader, memoryview]:
+    """The header of the container ``sealed``, and a view of its payload."""
     _require_container(sealed)
     header = decode(sealed, len(sealed))
-    payload = memoryview(sealed)[len(sealed) - header.plaintext_len:]
+    return header, memoryview(sealed)[len(sealed) - header.plaintext_len:]
+
+
+def _unseal_container(sealed, key: KeyMaterial, on_chunk=None, cancelled=None) -> ModelBlob:
+    header, payload = _decode_container(sealed)
     return _unseal_chunks(header, key, lambda span, out: payload[span], on_chunk, cancelled)
 
 
@@ -206,8 +217,8 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
     In a regular file a container is read chunk by chunk, and a raw ``.dat``
     whole, into the buffer it is decrypted in, every read bounded by the file's
     size (IoError if it shrinks). Anything else, such as a FIFO, is read whole,
-    once, into one bytearray; a raw ``.dat`` is decrypted there in place, while a
-    container is decrypted from it into a second buffer.
+    once, into one bytearray, and decrypted there in place: a container's
+    plaintext is the view of its payload, a raw ``.dat``'s the view of its start.
     """
     with _reading(path):
         source = open(path, "rb", buffering=0)
@@ -215,12 +226,10 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
         info = os.fstat(source.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else 0
         if not size:
-            sealed = bytearray()
-            while chunk := source.read(_PIPE_READ):
-                sealed += chunk  # grown in place: the sealed bytes are held once
-            declared_format = declared_format or detect_format(sealed)
-            if declared_format is not SealedFormat.RAW_DAT:
-                return unseal(sealed, key, declared_format)
+            sealed = _read_whole(source, 0, path, "unsealed")
+            if (declared_format or detect_format(sealed)) is not SealedFormat.RAW_DAT:
+                header, payload = _decode_container(sealed)
+                return _unseal_chunks(header, key, lambda span, out: out, buf=payload)
             size = len(sealed)
             buf = _ecb_buffer(size, sealed)
         else:

@@ -172,11 +172,16 @@ class TestSealReport:
     @pytest.mark.parametrize("to_file", [False, True], ids=["seal", "seal_file"])
     def test_hash_time_is_its_own_phase(self, fips_key, monkeypatch, tmp_path,
                                         mode, to_file):
-        # A hash slowed by 50 ms must show in hash_ms and nowhere else.
+        # A 50 ms delay in each hash update, cipher call, write of the artifact
+        # or its rename must show in its own phase, every time, and in no other.
+        # seal_file streams a container and seals a raw model whole in memory.
+        delayed = []
+
         def slow(fn):
-            def wrapped(*args):
+            def wrapped(*args, **kwargs):
+                delayed.append(fn)
                 time.sleep(0.05)
-                return fn(*args)
+                return fn(*args, **kwargs)
             return wrapped
 
         class SlowSha256:
@@ -185,20 +190,50 @@ class TestSealReport:
                 self.update = slow(self._hasher.update)
                 self.digest = self._hasher.digest
 
+        class SlowWrites:
+            def __init__(self, handle):
+                self._handle = handle
+                self.write = slow(handle.write)
+
+            def __getattr__(self, name):
+                return getattr(self._handle, name)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return self._handle.__exit__(*exc)
+
         real_sha256 = sealer_mod.hashlib.sha256
-        monkeypatch.setattr(sealer_mod, "hashlib", types.SimpleNamespace(sha256=SlowSha256))
-        monkeypatch.setattr(sealer_mod, "sha256", slow(sealer_mod.sha256))
-        if to_file:
-            src = tmp_path / "model.bin"
-            src.write_bytes(MODEL[:4096])
-            report = seal_file(src, tmp_path / "model.out", fips_key, mode=mode)
-        else:
-            _, report = seal(MODEL[:4096], fips_key, mode=mode)
-        assert report.plaintext_digest == sha256(MODEL[:4096])
-        assert report.hash_ms >= 50.0
-        assert report.encrypt_ms < 50.0
-        assert report.storage_ms < 50.0
-        assert report.commit_ms < 50.0
+        real_fdopen = os.fdopen
+        delays = {
+            "hash_ms": {(sealer_mod, "hashlib"): types.SimpleNamespace(sha256=SlowSha256),
+                        (sealer_mod, "sha256"): slow(sealer_mod.sha256)},
+            "encrypt_ms": {(sealer_mod, "ctr_crypt"): slow(sealer_mod.ctr_crypt),
+                           (sealer_mod, "ecb_encrypt"): slow(sealer_mod.ecb_encrypt)},
+            "storage_ms": {(os, "fdopen"): lambda fd, mode: SlowWrites(real_fdopen(fd, mode))},
+            "commit_ms": {(os, "replace"): slow(os.replace)},
+        }
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL[:4096])
+        for phase, patches in delays.items():
+            if not to_file and phase in ("storage_ms", "commit_ms"):
+                continue  # seal touches no storage
+            delayed.clear()
+            with monkeypatch.context() as patched:
+                for (target, name), value in patches.items():
+                    patched.setattr(target, name, value)
+                if to_file:
+                    report = seal_file(src, tmp_path / "model.out", fips_key, mode=mode,
+                                       write_manifest=False)
+                else:
+                    _, report = seal(MODEL[:4096], fips_key, mode=mode)
+            assert report.plaintext_digest == sha256(MODEL[:4096])
+            timed = {field: getattr(report, field) for field in delays}
+            assert delayed and timed[phase] >= 50.0 * len(delayed), (phase, timed)
+            assert all(ms < 50.0 for field, ms in timed.items() if field != phase), (phase, timed)
+            if not to_file:
+                assert report.storage_ms == report.commit_ms == 0.0
 
 
 class TestSealFile:
@@ -377,6 +412,31 @@ class TestSealFileStreaming:
         assert ((tmp_path / "from-fifo.mvc").read_bytes()
                 == (tmp_path / "from-file.mvc").read_bytes())
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_fifo_input_is_read_into_a_buffer_that_is_wiped(self, tmp_path, fips_key,
+                                                            fixed_nonce, monkeypatch, mode):
+        read = []
+        real_read_whole = sealer_mod._read_whole
+
+        def recording_read_whole(*args):
+            read.append(real_read_whole(*args))
+            return read[-1]
+
+        monkeypatch.setattr(sealer_mod, "_read_whole", recording_read_whole)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(MODEL,), daemon=True)
+        writer.start()
+        report = seal_file(fifo, tmp_path / "model.out", fips_key, mode=mode, chunk_size=4096)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        expected, _ = seal(MODEL, fips_key, mode=mode, chunk_size=4096)
+        assert (tmp_path / "model.out").read_bytes() == expected
+        assert report.input_len == len(MODEL)
+        [buf] = read
+        assert type(buf) is bytearray and buf == bytes(len(MODEL))
+
     def test_size_reading_zero_is_read_whole(self, tmp_path, fips_key, fixed_nonce,
                                              monkeypatch):
         # A pseudo-file reports st_size 0 yet has content; it is sealed whole.
@@ -430,6 +490,24 @@ class TestSealFileStreaming:
         assert info.value.path == str(src)
         assert _leftovers(tmp_path, "model.bin") == []
         assert buffers[0] == bytearray(MIN_CHUNK_SIZE)  # the chunk buffer is wiped
+
+    @pytest.mark.parametrize("change", [-16, +1], ids=["shrinks", "grows"])
+    def test_raw_model_changing_size_is_refused(self, tmp_path, fips_key, monkeypatch,
+                                                change):
+        # A raw model is read whole into a buffer of the size fstat gave.
+        src = tmp_path / "model.bin"
+        src.write_bytes(MODEL)
+        real_read_exactly = sealer_mod._read_exactly
+
+        def resize_then_read(source, buf, *args):
+            os.truncate(src, len(MODEL) + change)
+            return real_read_exactly(source, buf, *args)
+
+        monkeypatch.setattr(sealer_mod, "_read_exactly", resize_then_read)
+        with pytest.raises(IoError, match="changed while it was being sealed") as info:
+            seal_file(src, tmp_path / "model.dat", fips_key, mode=CipherMode.RAW_ECB_PKCS7)
+        assert info.value.path == str(src)
+        assert _leftovers(tmp_path, "model.bin") == []
 
 
 _FORMAT_OF = {CipherMode.CHUNKED_CTR: SealedFormat.CONTAINER,

@@ -4,6 +4,7 @@ import gc
 import io
 import mmap
 import os
+import random
 import struct
 import threading
 import time
@@ -778,6 +779,49 @@ class TestUnsealFile:
         assert blob.data == bytes(size)
         assert len(blob.data.obj) == len(sealed) + 15
         assert peak <= 1.2 * size
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("flip", [False, True], ids=["intact", "flipped-bit"])
+    def test_container_fifo_is_decrypted_in_the_buffer_it_is_read_into(
+            self, fips_key, tmp_path, monkeypatch, flip):
+        size = 8 * 1024 * 1024
+        model = random.Random(3).randbytes(size)
+        sealed, _ = seal(model, fips_key)
+        if flip:
+            sealed[-1] ^= 1
+        sealed = bytes(sealed)
+        wiped = []
+        real_wipe = unsealer_mod._wipe
+
+        def recording_wipe(buf):
+            real_wipe(buf)
+            wiped.append(buf)
+
+        monkeypatch.setattr(unsealer_mod, "_wipe", recording_wipe)
+        fifo = tmp_path / "sealed.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(sealed,), daemon=True)
+        tracemalloc.start()
+        try:
+            writer.start()
+            if flip:
+                with pytest.raises(DigestError):
+                    unseal_file(fifo, fips_key)
+            else:
+                blob = unseal_file(fifo, fips_key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        if flip:
+            [payload] = wiped
+            assert len(payload) == size and payload == bytes(size)
+            assert type(payload.obj) is bytearray and len(payload.obj) == len(sealed)
+        else:
+            assert wiped == [] and blob.data == model
+            assert type(blob.data.obj) is bytearray and len(blob.data.obj) == len(sealed)
+            assert peak <= 1.2 * size
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("length", [0, 17])
