@@ -44,6 +44,18 @@ crash can leave is unchanged. A new path gets no early writeback, as its
 rename never forced one; nor does anything written through, for which
 ``written`` does nothing.
 
+The rename of a replacing output does not free the file it replaces
+either. Freeing the blocks of a file that has reached the disk is a
+wait in the kernel (ext4 mounted ``discard`` makes it a long one), and
+it falls on whoever drops the last reference to the inode. So
+``_atomic_output`` opens the old file with ``O_PATH`` just before the
+rename, which then only unlinks a name, and closes that fd on a
+short-lived daemon thread: the freeing overlaps the caller's next work,
+and the replaced file's space comes back a few ms after ``seal_file``
+returns (a short-lived process pays it at exit). A child forked in that
+window holds the fd until it exits or execs. Where ``O_PATH`` does not
+exist, the rename frees the file itself, as before.
+
 Timing split mirrors the two-column reporting convention this toolkit
 benchmarks against, with the digest and the commit timed on their own.
 Each phase is timed into one ``_Phases`` record, keyed by the
@@ -57,8 +69,9 @@ Each phase is timed into one ``_Phases`` record, keyed by the
   OS. 0 for ``seal``.
 * ``commit_ms`` -- for ``seal_file``, the rest of the artifact's output:
   creating the temp file (or opening a written-through output), setting
-  its mode, the writeback starts, the close and the rename. 0 for
-  ``seal``. It is not in the manifest.
+  its mode, the writeback starts, the close and the rename, but not the
+  freeing of a replaced file, which runs after it on another thread. 0
+  for ``seal``. It is not in the manifest.
 
 Reading the model file and writing the manifest are in none of them.
 """
@@ -73,6 +86,7 @@ import os
 import secrets
 import stat
 import tempfile
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -96,8 +110,7 @@ MIN_CHUNK_SIZE = 4096
 _WRITEBACK_WINDOW = 1 << 20
 _SYNC_FILE_RANGE_WRITE = 2  # start writeback of dirty pages; do not wait
 
-# A pipe holds 64 KiB by default, so a larger read from one gains nothing,
-# and the bytes of one read are a small transient beside the growing buffer.
+# A pipe holds 64 KiB by default, so a larger read from one gains nothing.
 _PIPE_READ = 64 * 1024
 
 try:
@@ -332,8 +345,9 @@ def _read_whole(source, size: int, path: Path, action: str) -> bytearray:
 
     A nonzero ``size``, a regular file's, is read into a buffer of exactly
     that size, and IoError is raised if ``path`` shrank or grew. Otherwise,
-    as for a FIFO, one buffer grows in place by pipe-sized reads until the
-    input ends.
+    as for a FIFO, the input is read straight into one buffer, grown by a
+    pipe's worth whenever it is full, until the input ends; no read makes
+    a copy of its own.
     """
     if size:
         buf = bytearray(size)
@@ -341,9 +355,17 @@ def _read_whole(source, size: int, path: Path, action: str) -> bytearray:
         _check_ended(source, path, action)
         return buf
     buf = bytearray()
+    filled = 0
     with _reading(path):
-        while chunk := source.read(_PIPE_READ):
-            buf += chunk  # grown in place: the input is held once
+        while True:
+            if filled == len(buf):
+                buf.extend(bytes(_PIPE_READ))  # no view is held across a resize
+            with memoryview(buf) as view, view[filled:] as free:
+                n = source.readinto(free)
+            if not n:
+                break
+            filled += n
+    del buf[filled:]
     return buf
 
 
@@ -392,6 +414,35 @@ def _start_writeback(fd: int, offset: int, length: int) -> None:
         _sync_file_range(fd, offset, length, _SYNC_FILE_RANGE_WRITE)
 
 
+def _hold(path: Path) -> int | None:
+    """An ``O_PATH`` fd on the file at ``path``, keeping its inode alive; None if none.
+
+    It needs no permission on the file itself. Where ``O_PATH`` does not
+    exist, or the open fails, nothing is held.
+    """
+    if not hasattr(os, "O_PATH"):
+        return None
+    try:
+        return os.open(path, os.O_PATH | os.O_NOFOLLOW | os.O_CLOEXEC)
+    except OSError:
+        return None
+
+
+def _release(fd: int) -> None:
+    """Close ``fd`` on a short-lived daemon thread of its own.
+
+    Closing the last reference to an unlinked file frees its blocks, which
+    ext4 with online discard makes the caller wait for; ``os.close``
+    releases the GIL, so that wait overlaps whatever the caller does next.
+    If no thread can be started, ``fd`` is closed here.
+    """
+    try:
+        threading.Thread(target=os.close, args=(fd,), name="modelvault-release",
+                         daemon=True).start()
+    except RuntimeError:
+        os.close(fd)
+
+
 @contextlib.contextmanager
 def _atomic_output(path: Path, phases: _Phases | None = None):
     """Yield ``(handle, written)``: a binary file whose contents end up at ``path``.
@@ -408,7 +459,9 @@ def _atomic_output(path: Path, phases: _Phases | None = None):
     started just before the rename; ``written(end)``, called once the
     handle holds its first ``end`` bytes, starts the writeback of each
     whole ``_WRITEBACK_WINDOW`` of them sooner. For any other output it
-    does nothing. Everything here but the block is timed into
+    does nothing. The file it replaces is held open across the rename
+    (``_hold``) and closed on another thread (``_release``), or at once
+    if the rename fails. Everything here but the block is timed into
     ``phases["commit_ms"]``, if given.
     """
     phases = _Phases() if phases is None else phases
@@ -445,7 +498,15 @@ def _atomic_output(path: Path, phases: _Phases | None = None):
                     _start_writeback(handle.fileno(), 0, 0)
                 handle.close()
                 if tmp_name is not None:
-                    os.replace(tmp_name, path)
+                    held = _hold(path) if replacing else None
+                    try:
+                        os.replace(tmp_name, path)
+                    except BaseException:
+                        if held is not None:
+                            os.close(held)
+                        raise
+                    if held is not None:
+                        _release(held)
     except BaseException as exc:
         if tmp_name is not None:
             with contextlib.suppress(OSError):

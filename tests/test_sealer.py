@@ -1,6 +1,8 @@
 """Unit tests for sealing: outputs, manifests, atomicity, hygiene."""
 
+import contextlib
 import errno
+import io
 import json
 import os
 import random
@@ -437,6 +439,30 @@ class TestSealFileStreaming:
         [buf] = read
         assert type(buf) is bytearray and buf == bytes(len(MODEL))
 
+    def test_unsized_input_is_read_into_the_buffer_itself(self, tmp_path):
+        # Only readinto can fill the buffer: a read(n) of more than the
+        # one-byte end probe would return plaintext in a bytes of its own.
+        model = random.Random(3).randbytes(3 * sealer_mod._PIPE_READ + 1234)
+
+        class IntoOnly:
+            def __init__(self, data):
+                self.stream = io.BytesIO(data)
+                self.targets = set()
+
+            def read(self, n=-1):
+                if n is None or n < 0 or n > 1:
+                    raise AssertionError(f"read({n}) copies the input")
+                return self.stream.read(n)
+
+            def readinto(self, view):
+                self.targets.add(id(view.obj))
+                return self.stream.readinto(view[:5000])  # short, like a pipe
+
+        source = IntoOnly(model)
+        buf = sealer_mod._read_whole(source, 0, tmp_path / "model.pipe", "sealed")
+        assert type(buf) is bytearray and buf == model
+        assert source.targets == {id(buf)}
+
     def test_size_reading_zero_is_read_whole(self, tmp_path, fips_key, fixed_nonce,
                                              monkeypatch):
         # A pseudo-file reports st_size 0 yet has content; it is sealed whole.
@@ -734,6 +760,133 @@ class TestEarlyWriteback:
         assert report.storage_ms < 50.0
 
 
+# The fds this process holds, one entry each; /dev/fd where there is no procfs.
+_FD_DIR = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
+
+
+def _settled_fds():
+    """The number of fds this process holds once every pending release has run."""
+    for thread in threading.enumerate():
+        if thread.name == "modelvault-release":
+            thread.join(timeout=10)
+    return len(os.listdir(_FD_DIR))
+
+
+def _record_releases(monkeypatch):
+    """Wrap ``_release``; returns, per call, the fd's stat as the release got it."""
+    released = []
+    real_release = sealer_mod._release
+
+    def recording(fd):
+        released.append(os.fstat(fd))
+        real_release(fd)
+
+    monkeypatch.setattr(sealer_mod, "_release", recording)
+    return released
+
+
+@pytest.mark.skipif(not hasattr(os, "O_PATH"), reason="needs O_PATH")
+class TestReleaseReplaced:
+    """The file a rename replaces is held across it and freed on another thread."""
+
+    @pytest.fixture
+    def paths(self, tmp_path):
+        src = tmp_path / "model.bin"
+        src.write_bytes(random.Random(4).randbytes(2 * sealer_mod._WRITEBACK_WINDOW))
+        out = tmp_path / "model.mvc"
+        out.write_bytes(b"the old artifact" * 1000)
+        return src, out
+
+    def test_a_reseal_releases_the_old_inode_unlinked(self, paths, fips_key, monkeypatch):
+        src, out = paths
+        old = os.lstat(out)
+        released = _record_releases(monkeypatch)
+        seal_file(src, out, fips_key, write_manifest=False)
+        [held] = released
+        assert (held.st_dev, held.st_ino) == (old.st_dev, old.st_ino)
+        assert held.st_nlink == 0
+        assert os.lstat(out).st_ino != old.st_ino
+
+    def test_a_replaced_manifest_is_released_too(self, paths, fips_key, monkeypatch):
+        src, out = paths
+        seal_file(src, out, fips_key)
+        released = _record_releases(monkeypatch)
+        seal_file(src, out, fips_key)
+        assert len(released) == 2  # the artifact, then its manifest
+        assert all(held.st_nlink == 0 for held in released)
+
+    @pytest.mark.parametrize("target", ["new", "fifo", "symlink", "no-o-path", "open-fails"])
+    def test_nothing_is_held_otherwise(self, paths, fips_key, monkeypatch, target):
+        src, out = paths
+        reader = None
+        if target == "new":
+            out.unlink()
+        elif target == "fifo":
+            if not hasattr(os, "mkfifo"):
+                pytest.skip("needs named pipes")
+            out.unlink()
+            os.mkfifo(out)
+            reader = threading.Thread(target=out.read_bytes, daemon=True)
+            reader.start()
+        elif target == "symlink":
+            real = out.with_name("model.real")
+            out.rename(real)
+            out.symlink_to(real)
+        elif target == "no-o-path":
+            monkeypatch.delattr(os, "O_PATH")
+        else:
+            real_open = os.open
+
+            def refusing(path, flags, *args, **kwargs):
+                if flags & os.O_PATH:
+                    raise PermissionError(errno.EACCES, "Permission denied")
+                return real_open(path, flags, *args, **kwargs)
+
+            monkeypatch.setattr(os, "open", refusing)
+        released = _record_releases(monkeypatch)
+        before = _settled_fds()
+        seal_file(src, out, fips_key, write_manifest=False)
+        if reader is not None:
+            reader.join(timeout=10)
+            assert not reader.is_alive()
+        assert released == []
+        assert _settled_fds() == before
+        if target in ("no-o-path", "open-fails"):
+            assert bytes(unseal(out.read_bytes(), fips_key,
+                                SealedFormat.CONTAINER).data) == src.read_bytes()
+
+    def test_no_thread_to_spare_closes_it_at_once(self, paths, fips_key, monkeypatch):
+        src, out = paths
+        before = _settled_fds()
+
+        def refused(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        report = seal_file(src, out, fips_key, write_manifest=False)
+        assert len(os.listdir(_FD_DIR)) == before
+        assert report.output_len == out.stat().st_size
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs procfs")
+    def test_no_fd_stays_on_the_replaced_file(self, paths, fips_key):
+        src, out = paths
+        before = _settled_fds()
+        seal_file(src, out, fips_key, write_manifest=False)
+        deadline = time.monotonic() + 10
+        while True:
+            links = []
+            for name in os.listdir("/proc/self/fd"):
+                with contextlib.suppress(OSError):  # closed meanwhile
+                    links.append(os.readlink(f"/proc/self/fd/{name}"))
+            deleted = [link for link in links
+                       if link.startswith(str(out.parent)) and link.endswith("(deleted)")]
+            if not deleted or time.monotonic() > deadline:
+                break
+            time.sleep(0.01)
+        assert deleted == []
+        assert _settled_fds() == before
+
+
 class TestCommitCrashPoints:
     """Each step of replacing an artifact fails in turn; the old one survives whole."""
 
@@ -801,8 +954,10 @@ class TestCommitCrashPoints:
         else:
             monkeypatch.setattr(os, "replace", self._raise)
         expected = KeyboardInterrupt if step.endswith("kick") else IoError
+        fds = _settled_fds()
         with pytest.raises(expected):
             seal_file(src, out, fips_key, chunk_size=MIN_CHUNK_SIZE, write_manifest=False)
+        assert _settled_fds() == fds  # nothing leaked, the held old file included
         assert out.read_bytes() == b"the whole old artifact"
         assert _leftovers(out.parent, "model.bin", "model.mvc") == []
 
