@@ -15,12 +15,17 @@ model: it reserves the header's bytes at the start of the output, reads,
 hashes, encrypts in place and writes each chunk, then writes the header
 at offset 0. A model file that changes size meanwhile is refused.
 Raw mode, an input whose size is not known up front, and an output that
-cannot seek are handled whole in memory, through the same code as
-``seal``: the model is read into one ``bytearray``, which is wiped once
-it is sealed. A regular file is read into a buffer of its size (and
-refused if it changes size meanwhile); an input that is not a regular
-file (a FIFO, ``/dev/stdin``), or a regular file whose size reads 0 (a
-procfs pseudo-file), grows the buffer until it ends. An empty file seals
+cannot seek are handled whole in memory. ``seal_file`` allocates one
+``bytearray`` for the model, which ``_read_whole`` only fills, and wipes
+it once the model is sealed or the seal has failed. A regular file is
+read into a buffer of its size (and refused if it changes size
+meanwhile); an input that is not a regular file (a FIFO,
+``/dev/stdin``), or a regular file whose size reads 0 (a procfs
+pseudo-file), grows the buffer until it ends. A container is sealed
+where it was read: each chunk is hashed and encrypted in place in that
+buffer, and the header is written followed by the buffer, so the model
+is held once. A raw seal encrypts into a second, padded buffer, as
+``seal`` does, and so holds the model about twice. An empty file seals
 to the same bytes either way.
 
 Every output (the artifact, its manifest, ``mvc unseal --out``) goes
@@ -193,27 +198,24 @@ def seal(
     """
     _check_chunk_size(mode, chunk_size)
     phases = _Phases()
-    sealed, digest = _seal(model_bytes, key, mode, chunk_size, phases)
+    if mode is CipherMode.RAW_ECB_PKCS7:
+        sealed, digest = _seal_raw(model_bytes, key, phases)
+    else:
+        size = len(model_bytes)
+        head_len = header_len(chunk_count_for(size, chunk_size))
+        sealed = bytearray(head_len + size)
+        payload, source = memoryview(sealed)[head_len:], memoryview(model_bytes)
+        sealed[:head_len], digest = _seal_chunks(size, key, chunk_size, phases,
+                                                 lambda span: (source[span], payload[span]))
     return sealed, phases.report(len(model_bytes), len(sealed), mode, digest)
 
 
-def _seal(model, key: KeyMaterial, mode: CipherMode, chunk_size: int,
-          phases: _Phases) -> tuple[bytearray, bytes]:
-    """Seal the whole of ``model`` in memory; returns the artifact and the plaintext digest."""
-    if mode is CipherMode.RAW_ECB_PKCS7:
-        with phases("hash_ms"):
-            digest = sha256(model)
-        with phases("encrypt_ms"):
-            return ecb_encrypt(model, key), digest
-    size = len(model)
-    head_len = header_len(chunk_count_for(size, chunk_size))
-    sealed = bytearray(head_len + size)
-    payload = memoryview(sealed)[head_len:]
-    source = memoryview(model)
-    head, digest = _seal_chunks(size, key, chunk_size, phases,
-                                lambda span: (source[span], payload[span]))
-    sealed[:head_len] = head
-    return sealed, digest
+def _seal_raw(model, key: KeyMaterial, phases: _Phases) -> tuple[bytearray, bytes]:
+    """Seal ``model`` as a raw ``.dat``; returns the artifact and the plaintext digest."""
+    with phases("hash_ms"):
+        digest = sha256(model)
+    with phases("encrypt_ms"):
+        return ecb_encrypt(model, key), digest
 
 
 def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, phases: _Phases, next_chunk,
@@ -263,8 +265,10 @@ def seal_file(
     A new or regular output_path is replaced via a temp file and rename,
     so a crash never leaves a truncated artifact; anything else is written
     through. The manifest goes to ``<output_path>.manifest.json``. A
-    regular model file is sealed in container mode one chunk at a time;
-    see the module docstring, also for the outputs a manifest rules out.
+    regular model file is sealed in container mode one chunk at a time.
+    Any other model is sealed whole in the one buffer it was read into,
+    which this function allocates and wipes, also when it raises. See the
+    module docstring, also for the outputs a manifest rules out.
     """
     _check_chunk_size(mode, chunk_size)
     input_path = Path(input_path)
@@ -291,15 +295,23 @@ def seal_file(
                 output_len, digest = _stream_container(source, size, input_path, out, written,
                                                        key, chunk_size, phases)
             else:
-                model = _read_whole(source, size, input_path, "sealed")
+                model = bytearray(size)
                 try:
-                    sealed, digest = _seal(model, key, mode, chunk_size, phases)
+                    _read_whole(source, model, input_path, "sealed")
+                    if mode is CipherMode.RAW_ECB_PKCS7:
+                        head = b""
+                        body, digest = _seal_raw(model, key, phases)
+                    else:
+                        body = memoryview(model)
+                        head, digest = _seal_chunks(len(model), key, chunk_size, phases,
+                                                    lambda span: (body[span], body[span]))
                     with phases("storage_ms"):
-                        out.write(sealed)
+                        out.write(head)
+                        out.write(body)
                         out.flush()
                 finally:
                     _wipe(model)
-                size, output_len = len(model), len(sealed)
+                size, output_len = len(model), len(head) + len(body)
     report = phases.report(size, output_len, mode, digest)
 
     if write_manifest:
@@ -340,21 +352,20 @@ def _check_ended(source, path: Path, action: str) -> None:
             raise _changed_error(path, action)
 
 
-def _read_whole(source, size: int, path: Path, action: str) -> bytearray:
-    """Read all of ``source`` into one bytearray, which the caller can wipe.
+def _read_whole(source, buf: bytearray, path: Path, action: str) -> bytearray:
+    """Read all of ``source`` into ``buf``, the caller's, and return it.
 
-    A nonzero ``size``, a regular file's, is read into a buffer of exactly
-    that size, and IoError is raised if ``path`` shrank or grew. Otherwise,
-    as for a FIFO, the input is read straight into one buffer, grown by a
-    pipe's worth whenever it is full, until the input ends; no read makes
-    a copy of its own.
+    It allocates no buffer of its own: the caller allocates ``buf`` and
+    wipes it, also when this raises. A nonempty ``buf``, of a regular
+    file's size, is filled exactly, and IoError is raised if ``path``
+    shrank or grew. An empty one, as for a FIFO, is grown in place by a
+    pipe's worth whenever it is full, and read into straight, until the
+    input ends; no read makes a copy of its own.
     """
-    if size:
-        buf = bytearray(size)
+    if buf:
         _read_exactly(source, buf, path, action)
         _check_ended(source, path, action)
         return buf
-    buf = bytearray()
     filled = 0
     with _reading(path):
         while True:

@@ -225,27 +225,24 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
     with source, _reading(path):
         info = os.fstat(source.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else 0
-        if not size:
-            sealed = _read_whole(source, 0, path, "unsealed")
-            if (declared_format or detect_format(sealed)) is not SealedFormat.RAW_DAT:
+        sealed = None if size else _read_whole(source, bytearray(), path, "unsealed")
+        head = os.pread(source.fileno(), HEADER_SIZE, 0) if sealed is None else sealed
+        size = size or len(sealed)
+
+        def read(buf):
+            _read_exactly(source, buf, path, "unsealed")
+            return buf
+
+        if (declared_format or detect_format(head)) is not SealedFormat.RAW_DAT:
+            if sealed is not None:
                 header, payload = _decode_container(sealed)
                 return _unseal_chunks(header, key, lambda span, out: out, buf=payload)
-            size = len(sealed)
-            buf = _ecb_buffer(size, sealed)
-        else:
-            prefix = os.pread(source.fileno(), HEADER_SIZE, 0)
-
-            def read(buf):
-                _read_exactly(source, buf, path, "unsealed")
-                return buf
-
-            if (declared_format or detect_format(prefix)) is not SealedFormat.RAW_DAT:
-                _require_container(prefix)
-                head = read(bytearray(min(size, HEADER_SIZE)))
-                head += read(bytearray(header_len(decode_header(head, size).chunk_count)
-                                       - len(head)))
-                return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
-            buf = _ecb_buffer(size)
+            _require_container(head)
+            head = read(bytearray(min(size, HEADER_SIZE)))
+            head += read(bytearray(header_len(decode_header(head, size).chunk_count) - len(head)))
+            return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
+        buf = _ecb_buffer(size, sealed)
+        if sealed is None:
             read(memoryview(buf)[:size])
     plaintext = _ecb_decrypt_into(memoryview(buf)[:size], buf, key)
     return ModelBlob(plaintext, CipherMode.RAW_ECB_PKCS7)

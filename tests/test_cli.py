@@ -637,6 +637,11 @@ class TestBenchCli:
         code, _, _ = run(capsys, "bench", "--sizes", "abc")
         assert code == 1
 
+    def test_sizes_naming_no_size_rejected(self, capsys):
+        code, out, err = run(capsys, "bench", "--sizes", ",")
+        assert code == 1
+        assert out == "" and "at least one size" in err
+
     def test_bad_reps_rejected(self, capsys):
         code, _, _ = run(capsys, "bench", "--sizes", "0.01", "--reps", "1")
         assert code == 1

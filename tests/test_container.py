@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modelvault.container import (CHUNK_ENTRY_SIZE, DEFAULT_CHUNK_SIZE,
-                                  HEADER_SIZE, MAGIC, VERSION,
+                                  HEADER_SIZE, MAGIC, MAX_CHUNK_SIZE, VERSION,
                                   ContainerHeader, SealedFormat,
                                   chunk_count_for, chunk_slices, decode,
                                   detect_format, encode_header)
@@ -70,6 +70,11 @@ class TestChunkMath:
     def test_chunk_count(self, length, size, count):
         assert chunk_count_for(length, size) == count
 
+    @pytest.mark.parametrize("size", [0, -64])
+    def test_chunk_size_must_be_positive(self, size):
+        with pytest.raises(InvariantError, match="chunk_size must be positive"):
+            chunk_count_for(100, size)
+
     @settings(max_examples=100, deadline=None)
     @given(length=st.integers(min_value=0, max_value=500_000),
            size=st.integers(min_value=1, max_value=70_000))
@@ -113,8 +118,11 @@ class TestEncode:
         assert stored == zlib.crc32(encoded[:68])
 
     def test_encode_validates(self):
-        for field, value in (("flags", 1), ("file_nonce", b"\x01" * 7),
-                             ("plaintext_digest", b"short")):
+        for field, value in (("version", VERSION + 1), ("mode", CipherMode.RAW_ECB_PKCS7),
+                             ("flags", 1), ("key_fingerprint", b"\xaa" * 3),
+                             ("file_nonce", b"\x01" * 7), ("plaintext_digest", b"short"),
+                             ("plaintext_len", -1), ("plaintext_len", 1 << 64),
+                             ("chunk_size", 0), ("chunk_size", MAX_CHUNK_SIZE + 1)):
             with pytest.raises(InvariantError):
                 encode_header(dataclasses.replace(make_header(), **{field: value}))
 

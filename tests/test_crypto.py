@@ -142,7 +142,8 @@ class TestLoadKeyHex:
         assert load_key_hex(FIPS_KEY_BYTES.hex().upper()).secret \
             == FIPS_KEY_BYTES
 
-    @pytest.mark.parametrize("bad", ["", "ab", "0" * 63, "0" * 65])
+    # The last: 64 characters, but the spaces inside make it decode to 31 bytes.
+    @pytest.mark.parametrize("bad", ["", "ab", "0" * 63, "0" * 65, "00" * 30 + "  00"])
     def test_wrong_length_rejected(self, bad):
         with pytest.raises(LengthError):
             load_key_hex(bad)
@@ -311,6 +312,14 @@ class TestCtr:
     def test_chunk_index_range_enforced(self, fips_key, index):
         with pytest.raises(RangeError):
             ctr_crypt(b"x", fips_key, bytes(8), index)
+
+    def test_data_length_range_enforced(self, fips_key):
+        class Huge:  # claims 2**36 bytes and holds none
+            def __len__(self):
+                return 2**36
+
+        with pytest.raises(RangeError, match="below 2\\*\\*36"):
+            ctr_crypt(Huge(), fips_key, bytes(8), 0)
 
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1000])
     def test_out_receives_exactly_its_slice(self, fips_key, n):

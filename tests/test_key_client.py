@@ -212,6 +212,25 @@ class TestFetchKeyTransport:
         with pytest.raises(TransportError):
             fetch_key(url, "t")
 
+    @pytest.mark.parametrize("url,message", [
+        ("http://127.0.0.1:99999/v1/model-key", "invalid port"),
+        ("http://127.0.0.1:port/v1/model-key", "invalid port"),
+        ("http:///v1/model-key", "no host"),
+        ("https://:8443/v1/model-key", "no host"),
+    ])
+    def test_url_without_a_host_or_valid_port_rejected(self, url, message):
+        with pytest.raises(TransportError, match=message):
+            fetch_key(url, TOKEN_SENTINEL)
+
+    @pytest.mark.parametrize("url,origin,target", [
+        ("http://keys.example/v1/model-key", ("http", "keys.example", 80), "/v1/model-key"),
+        ("https://keys.example", ("https", "keys.example", 443), "/"),
+        ("http://keys.example:8080/k?model=a&v=2", ("http", "keys.example", 8080),
+         "/k?model=a&v=2"),
+    ])
+    def test_url_split(self, url, origin, target):
+        assert key_client._split_url(url) == (origin, target)
+
 
 class TestKeptAliveConnection:
     @pytest.fixture

@@ -1,6 +1,8 @@
 """Unit and integration tests for the JWT-gated key endpoint."""
 
 import base64
+import hashlib
+import hmac
 import http.client
 import json
 import math
@@ -34,18 +36,31 @@ def config(**overrides) -> ServiceConfig:
     return ServiceConfig(**settings)
 
 
-def forge(header: dict, payload: dict, signature: bytes = b"x") -> str:
-    def enc(obj):
-        raw = json.dumps(obj, separators=(",", ":")).encode()
-        return base64.urlsafe_b64encode(raw).rstrip(b"=").decode()
+def b64url(raw: bytes) -> str:
+    return base64.urlsafe_b64encode(raw).rstrip(b"=").decode()
 
-    sig = base64.urlsafe_b64encode(signature).rstrip(b"=").decode()
-    return f"{enc(header)}.{enc(payload)}.{sig}"
+
+def signed(header_part: str, payload_part: str) -> str:
+    """A token of these two parts with a valid HS256 signature under SECRET."""
+    mac = hmac.new(SECRET, f"{header_part}.{payload_part}".encode(), hashlib.sha256)
+    return f"{header_part}.{payload_part}.{b64url(mac.digest())}"
+
+
+def forge(header: dict, payload: dict, signature: bytes | None = None) -> str:
+    """A token of these parts, validly signed under SECRET unless ``signature`` is given."""
+    def enc(obj):
+        return b64url(json.dumps(obj, separators=(",", ":")).encode())
+
+    if signature is None:
+        return signed(enc(header), enc(payload))
+    return f"{enc(header)}.{enc(payload)}.{b64url(signature)}"
 
 
 class TestIssueToken:
     def test_golden_value(self):
         assert issue_token(SECRET, 2_000_000_000, now=0) == GOLDEN_TOKEN
+        head, payload, _ = GOLDEN_TOKEN.split(".")
+        assert signed(head, payload) == GOLDEN_TOKEN  # the test signer agrees
 
     def test_round_trips(self):
         token = issue_token(SECRET, ttl=60)
@@ -120,6 +135,13 @@ class TestVerifyToken:
         head = GOLDEN_TOKEN.split(".")[0]
         arr = base64.urlsafe_b64encode(b"[1,2]").rstrip(b"=").decode()
         assert not verify_token(SECRET, f"{head}.{arr}.x", now=0)
+        assert not verify_token(SECRET, signed(head, arr), now=0)
+
+    @pytest.mark.parametrize("payload_part", ["!!!", b64url(b"\xff\xfe{"), b64url(b"{")],
+                             ids=["not-base64", "not-utf8", "not-json"])
+    def test_undecodable_payload_rejected(self, payload_part):
+        head = GOLDEN_TOKEN.split(".")[0]
+        assert not verify_token(SECRET, signed(head, payload_part), now=0)
 
 
 class TestServiceConfig:

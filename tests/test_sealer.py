@@ -2,6 +2,7 @@
 
 import contextlib
 import errno
+import hashlib
 import io
 import json
 import os
@@ -439,6 +440,28 @@ class TestSealFileStreaming:
         [buf] = read
         assert type(buf) is bytearray and buf == bytes(len(MODEL))
 
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_fifo_container_is_sealed_in_the_buffer_it_is_read_into(self, tmp_path, fips_key,
+                                                                   fixed_nonce):
+        size = 8 * 1024 * 1024
+        model = random.Random(5).randbytes(size)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(model,), daemon=True)
+        out = tmp_path / "model.mvc"
+        tracemalloc.start()
+        try:
+            writer.start()
+            report = seal_file(fifo, out, fips_key, write_manifest=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert report.input_len == size
+        assert out.read_bytes() == seal(model, fips_key)[0]
+        assert peak <= 1.2 * size
+
     def test_unsized_input_is_read_into_the_buffer_itself(self, tmp_path):
         # Only readinto can fill the buffer: a read(n) of more than the
         # one-byte end probe would return plaintext in a bytes of its own.
@@ -459,7 +482,7 @@ class TestSealFileStreaming:
                 return self.stream.readinto(view[:5000])  # short, like a pipe
 
         source = IntoOnly(model)
-        buf = sealer_mod._read_whole(source, 0, tmp_path / "model.pipe", "sealed")
+        buf = sealer_mod._read_whole(source, bytearray(), tmp_path / "model.pipe", "sealed")
         assert type(buf) is bytearray and buf == model
         assert source.targets == {id(buf)}
 
@@ -520,12 +543,16 @@ class TestSealFileStreaming:
     @pytest.mark.parametrize("change", [-16, +1], ids=["shrinks", "grows"])
     def test_raw_model_changing_size_is_refused(self, tmp_path, fips_key, monkeypatch,
                                                 change):
-        # A raw model is read whole into a buffer of the size fstat gave.
+        # A raw model is read whole into a buffer of the size fstat gave,
+        # which is wiped when the seal is refused: a shrunk model leaves
+        # what was read of it, a grown one all of it.
         src = tmp_path / "model.bin"
         src.write_bytes(MODEL)
         real_read_exactly = sealer_mod._read_exactly
+        buffers = []
 
         def resize_then_read(source, buf, *args):
+            buffers.append(buf)
             os.truncate(src, len(MODEL) + change)
             return real_read_exactly(source, buf, *args)
 
@@ -534,6 +561,8 @@ class TestSealFileStreaming:
             seal_file(src, tmp_path / "model.dat", fips_key, mode=CipherMode.RAW_ECB_PKCS7)
         assert info.value.path == str(src)
         assert _leftovers(tmp_path, "model.bin") == []
+        [buf] = buffers
+        assert type(buf) is bytearray and buf == bytes(len(MODEL))
 
 
 _FORMAT_OF = {CipherMode.CHUNKED_CTR: SealedFormat.CONTAINER,
@@ -562,6 +591,45 @@ class TestSealFileOutputs:
         assert len(received[0]) == report.output_len
         blob = unseal(received[0], fips_key, _FORMAT_OF[mode])
         assert bytes(blob.data) == MODEL
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_container_to_a_fifo_is_sealed_in_the_buffer_it_is_read_into(
+            self, tmp_path, fips_key, fixed_nonce):
+        # The output cannot seek, so the model is read whole; its container
+        # is encrypted there in place and follows its header into the FIFO.
+        size = 8 * 1024 * 1024
+        model = random.Random(6).randbytes(size)
+        src = tmp_path / "model.bin"
+        src.write_bytes(model)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        # The reader reads into one buffer of its own, made before the trace.
+        chunk = bytearray(64 * 1024)
+        received = hashlib.sha256()
+        lengths = []
+
+        def read_all():
+            total = 0
+            with open(fifo, "rb", buffering=0) as handle, memoryview(chunk) as view:
+                while n := handle.readinto(view):
+                    received.update(view[:n])
+                    total += n
+            lengths.append(total)
+
+        reader = threading.Thread(target=read_all, daemon=True)
+        tracemalloc.start()
+        try:
+            reader.start()
+            report = seal_file(src, fifo, fips_key, write_manifest=False)
+            reader.join(timeout=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not reader.is_alive()
+        expected, _ = seal(model, fips_key)
+        assert lengths == [report.output_len] == [len(expected)]
+        assert received.digest() == sha256(expected)
+        assert peak <= 1.2 * size
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("via_link", [False, True], ids=["fifo", "link-to-fifo"])

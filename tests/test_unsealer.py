@@ -9,6 +9,7 @@ import struct
 import threading
 import time
 import tracemalloc
+import types
 import weakref
 import zlib
 
@@ -371,6 +372,31 @@ class TestUnsealBackground:
         handle.cancel()
         assert handle.wait(10)
         assert handle.state() == "cancelled"
+
+    def test_cancel_before_the_runner_starts(self, container_bytes, fips_key, monkeypatch):
+        # The runner thread starts only once cancel() has returned, so the
+        # cancel is seen before the first chunk, every time.
+        deferred = []
+
+        class DeferredThread(threading.Thread):
+            def start(self):
+                deferred.append(self)
+
+        monkeypatch.setattr(unsealer_mod, "threading", types.SimpleNamespace(
+            Thread=DeferredThread, Event=threading.Event, Lock=threading.Lock))
+        calls = counting_decrypt(monkeypatch)
+        sink = Collector()
+        handle = unseal_background(container_bytes, fips_key,
+                                   on_progress=sink.on_progress, on_done=sink.on_done)
+        handle.cancel()
+        [runner] = deferred
+        threading.Thread.start(runner)
+        assert handle.wait(10)
+        assert handle.state() == "cancelled"
+        [(blob, error)] = sink.done
+        assert blob is None
+        assert isinstance(error, CancelledError) and "before decryption" in str(error)
+        assert calls == [] and sink.progress == []
 
     def test_cancel_after_done_changes_nothing(self, container_bytes,
                                                fips_key):
