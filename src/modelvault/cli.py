@@ -161,7 +161,7 @@ def cmd_unseal(args) -> int:
     try:
         if args.out:
             out = Path(args.out)
-            with _atomic_output(out) as (handle, _):
+            with _atomic_output(out) as handle:
                 handle.write(blob.data)
             result["out"] = str(out)
     finally:

@@ -183,10 +183,26 @@ else:
 class _TracedMapping(mmap.mmap):
     """An anonymous mapping that tracemalloc counts from creation to unmapping."""
 
+    def _track(self, n: int) -> None:
+        self.address = ctypes.addressof(ctypes.c_char.from_buffer(self))
+        _trace_track(_TRACE_DOMAIN, self.address, n)  # -2, ignored, when tracemalloc is off
+
+    def resize(self, n: int) -> None:
+        """Resize through ``mremap``, which may move the pages but copies no byte."""
+        super().resize(n)
+        _trace_untrack(_TRACE_DOMAIN, self.address)
+        self._track(n)
+
     def __del__(self):
         # Runs before the base type unmaps, so no new mapping at the same
         # address can be untracked by mistake.
         _trace_untrack(_TRACE_DOMAIN, self.address)
+
+
+def _mapping(n: int) -> _TracedMapping:
+    mapping = _TracedMapping(-1, n, flags=_MAP_FLAGS)
+    mapping._track(n)
+    return mapping
 
 
 def _secret_buffer(n: int) -> bytearray | mmap.mmap:
@@ -201,15 +217,31 @@ def _secret_buffer(n: int) -> bytearray | mmap.mmap:
     """
     if n < _HUGE_PAGE or _MAP_FLAGS is None:
         return bytearray(n)
-    mapping = _TracedMapping(-1, n, flags=_MAP_FLAGS)
-    mapping.address = ctypes.addressof(ctypes.c_char.from_buffer(mapping))
-    _trace_track(_TRACE_DOMAIN, mapping.address, n)  # -2, ignored, when tracemalloc is off
+    mapping = _mapping(n)
     for advice in _ADVICE:
         try:
             mapping.madvise(advice)
         except OSError:
             pass
     return mapping
+
+
+class _HeapBuffer(bytearray):
+    """A ``bytearray`` with a mapping's ``resize``, which may copy it."""
+
+    def resize(self, n: int) -> None:
+        self[n:] = bytes(max(0, n - len(self)))
+
+
+def _growing_buffer(n: int) -> _TracedMapping | _HeapBuffer:
+    """A zeroed buffer of ``n`` (> 0) bytes for an input of unknown size.
+
+    ``resize`` grows or cuts it. On Linux it is a mapping counted by
+    tracemalloc, as ``_secret_buffer``'s are, and a resize leaves no copy
+    of its bytes behind. Off Linux it is on the heap, where a resize that
+    moves it leaves the old bytes in the freed block.
+    """
+    return _HeapBuffer(n) if _MAP_FLAGS is None else _mapping(n)
 
 
 def _wipe(buf: bytearray | mmap.mmap | memoryview) -> None:
@@ -241,11 +273,13 @@ def ecb_encrypt(plaintext: bytes, key: KeyMaterial) -> bytearray:
     return buf
 
 
-def _ecb_buffer(size: int, ciphertext: bytearray | None = None) -> bytearray:
+def _ecb_buffer(size: int, ciphertext: _HeapBuffer | _TracedMapping | None = None
+                ) -> bytearray | mmap.mmap:
     """A buffer to decrypt ``size`` bytes of ciphertext in, with the slack it needs.
 
-    Given ``ciphertext``, a bytearray that holds exactly those bytes, the
-    buffer is that one, grown by the slack; otherwise it is a fresh one.
+    Given ``ciphertext``, a ``_growing_buffer`` that holds exactly those
+    bytes, the buffer is that one, grown by the slack; otherwise it is a
+    fresh ``bytearray``.
     """
     if size == 0 or size % BLOCK_SIZE:
         raise LengthError(
@@ -253,7 +287,7 @@ def _ecb_buffer(size: int, ciphertext: bytearray | None = None) -> bytearray:
         )
     if ciphertext is None:
         return bytearray(size + _ECB_SLACK)
-    ciphertext.extend(_ZEROS[:_ECB_SLACK])
+    ciphertext.resize(size + _ECB_SLACK)
     return ciphertext
 
 

@@ -16,38 +16,30 @@ hashes, encrypts in place and writes each chunk, then writes the header
 at offset 0. A model file that changes size meanwhile is refused.
 Raw mode, an input whose size is not known up front, and an output that
 cannot seek are handled whole in memory. ``seal_file`` allocates one
-``bytearray`` for the model, which ``_read_whole`` only fills, and wipes
-it once the model is sealed or the seal has failed. A regular file is
-read into a buffer of its size (and refused if it changes size
-meanwhile); an input that is not a regular file (a FIFO,
-``/dev/stdin``), or a regular file whose size reads 0 (a procfs
-pseudo-file), grows the buffer until it ends. A container is sealed
-where it was read: each chunk is hashed and encrypted in place in that
-buffer, and the header is written followed by the buffer, so the model
-is held once. A raw seal encrypts into a second, padded buffer, as
-``seal`` does, and so holds the model about twice. An empty file seals
-to the same bytes either way.
+buffer for the model, which is only filled, and wipes it once the model
+is sealed or the seal has failed. A regular file is read into a
+``bytearray`` of its size (and refused if it changes size meanwhile).
+An input that is not a regular file (a FIFO, ``/dev/stdin``), or a
+regular file whose size reads 0 (a procfs pseudo-file), is read by
+``_read_whole`` into a buffer from ``crypto._growing_buffer``, which it
+grows until the input ends: on Linux a mapping that ``mremap`` moves
+rather than copies, so no resize leaves plaintext behind in freed
+memory. A container is sealed where it was read: each chunk is hashed
+and encrypted in place in that buffer, and the header is written
+followed by the buffer, so the model is held once. A raw seal encrypts
+into a second, padded buffer, as ``seal`` does, and so holds the model
+about twice. An empty file seals to the same bytes either way.
 
 Every output (the artifact, its manifest, ``mvc unseal --out``) goes
-through ``_atomic_output``: a new or regular path is replaced atomically
-and keeps its mode; a FIFO, device or symlink is written through. As
-that truncates, ``seal_file`` refuses a symlink to the model itself. With
-a manifest, it refuses, before opening anything, an output that is
-neither new nor, links followed, a regular file, such as a FIFO.
-
-When the rename will replace a regular file, the temp file's writeback
-is started early. ``_atomic_output`` yields a ``written(end)`` callback
-with the file: ``seal_file`` calls it as each chunk is written, and it
-starts the writeback of every whole window of ``_WRITEBACK_WINDOW``
-bytes written since the last start, so the disk takes it while the next
-chunk is hashed and encrypted; ``_atomic_output`` then starts it for the
-whole file just before the rename. ext4 (``auto_da_alloc``) starts the
-same writeback inside a rename that replaces a file, and the rename
-waits while it is submitted; started early, it leaves the rename nothing
-to flush. Nothing waits for the disk and nothing is fsynced, so what a
-crash can leave is unchanged. A new path gets no early writeback, as its
-rename never forced one; nor does anything written through, for which
-``written`` does nothing.
+through ``_atomic_output``: a new or regular path is written to a temp
+file and renamed over it, and keeps its mode; a FIFO, device or symlink
+is written through. As that truncates, ``seal_file`` refuses a symlink
+to the model itself. With a manifest, it refuses, before opening
+anything, an output that is neither new nor, links followed, a regular
+file, such as a FIFO. Nothing is fsynced: the rename is atomic, but
+after a power loss it may survive while the data does not. ext4
+(``auto_da_alloc``) starts the temp file's writeback inside a rename
+that replaces a file, and that wait is part of the rename.
 
 The rename of a replacing output does not free the file it replaces
 either. Freeing the blocks of a file that has reached the disk is a
@@ -74,9 +66,9 @@ Each phase is timed into one ``_Phases`` record, keyed by the
   OS. 0 for ``seal``.
 * ``commit_ms`` -- for ``seal_file``, the rest of the artifact's output:
   creating the temp file (or opening a written-through output), setting
-  its mode, the writeback starts, the close and the rename, but not the
-  freeing of a replaced file, which runs after it on another thread. 0
-  for ``seal``. It is not in the manifest.
+  its mode, the close and the rename, but not the freeing of a replaced
+  file, which runs after it on another thread. 0 for ``seal``. It is not
+  in the manifest.
 
 Reading the model file and writing the manifest are in none of them.
 """
@@ -84,7 +76,6 @@ Reading the model file and writing the manifest are in none of them.
 from __future__ import annotations
 
 import contextlib
-import ctypes
 import hashlib
 import json
 import os
@@ -105,26 +96,14 @@ from .container import (
     encode_header,
     header_len,
 )
-from .crypto import CipherMode, KeyMaterial, NONCE_BYTES, _wipe, ctr_crypt, ecb_encrypt, sha256
+from .crypto import (CipherMode, KeyMaterial, NONCE_BYTES, _growing_buffer, _wipe, ctr_crypt,
+                     ecb_encrypt, sha256)
 from .errors import IoError, RangeError
 
 MIN_CHUNK_SIZE = 4096
 
-# Writeback of a replacing temp file is started in windows of this many
-# bytes; 1, 4 and 8 MiB sealed the paper's six sizes equally fast.
-_WRITEBACK_WINDOW = 1 << 20
-_SYNC_FILE_RANGE_WRITE = 2  # start writeback of dirty pages; do not wait
-
 # A pipe holds 64 KiB by default, so a larger read from one gains nothing.
 _PIPE_READ = 64 * 1024
-
-try:
-    _sync_file_range = ctypes.CDLL(None).sync_file_range
-except (AttributeError, OSError, TypeError):  # not Linux: no early writeback
-    _sync_file_range = None
-else:
-    _sync_file_range.argtypes = [ctypes.c_int, ctypes.c_int64, ctypes.c_int64, ctypes.c_uint]
-    _sync_file_range.restype = ctypes.c_int
 
 
 @dataclass(frozen=True)
@@ -225,8 +204,8 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, phases: _Phases, 
     For each span of ``chunk_slices(size, chunk_size)``, ``next_chunk(span)``
     returns ``(plaintext, out)``: that chunk's plaintext and a writable
     buffer of the same length, which may be the plaintext's own. The loop
-    hashes the plaintext, encrypts it into ``out``, and calls
-    ``emit(out, span)``, if given, before asking for the next chunk.
+    hashes the plaintext, encrypts it into ``out``, and calls ``emit(out)``,
+    if given, before asking for the next chunk.
 
     Returns the packed header and chunk table, and the plaintext digest.
     """
@@ -239,7 +218,7 @@ def _seal_chunks(size: int, key: KeyMaterial, chunk_size: int, phases: _Phases, 
         with phases("encrypt_ms"):
             ctr_crypt(plaintext, key, nonce, index, out=out)
         if emit is not None:
-            emit(out, span)
+            emit(out)
     digest = hasher.digest()
     header = ContainerHeader(
         mode=CipherMode.CHUNKED_CTR,
@@ -290,14 +269,18 @@ def seal_file(
                 raise IoError(f"cannot write {output_path}: it is a link to the model "
                               f"file {input_path}", path=str(output_path))
         phases = _Phases()
-        with _atomic_output(output_path, phases) as (out, written):
+        with _atomic_output(output_path, phases) as out:
             if mode is CipherMode.CHUNKED_CTR and size and out.seekable():
-                output_len, digest = _stream_container(source, size, input_path, out, written,
-                                                       key, chunk_size, phases)
+                output_len, digest = _stream_container(source, size, input_path, out, key,
+                                                       chunk_size, phases)
             else:
-                model = bytearray(size)
+                model = bytearray(size) if size else _growing_buffer(_PIPE_READ)
                 try:
-                    _read_whole(source, model, input_path, "sealed")
+                    if size:
+                        _read_exactly(source, model, input_path, "sealed")
+                        _check_ended(source, input_path, "sealed")
+                    else:
+                        model = _read_whole(source, model, input_path)
                     if mode is CipherMode.RAW_ECB_PKCS7:
                         head = b""
                         body, digest = _seal_raw(model, key, phases)
@@ -316,7 +299,7 @@ def seal_file(
 
     if write_manifest:
         manifest = json.dumps(report.manifest(), indent=2) + "\n"
-        with _atomic_output(Path(f"{output_path}.manifest.json")) as (out, _):
+        with _atomic_output(Path(f"{output_path}.manifest.json")) as out:
             out.write(manifest.encode())
     return report
 
@@ -352,41 +335,37 @@ def _check_ended(source, path: Path, action: str) -> None:
             raise _changed_error(path, action)
 
 
-def _read_whole(source, buf: bytearray, path: Path, action: str) -> bytearray:
-    """Read all of ``source`` into ``buf``, the caller's, and return it.
+def _read_whole(source, buf, path: Path):
+    """Read all of ``source``, of unknown size, into ``buf`` and return the model.
 
-    It allocates no buffer of its own: the caller allocates ``buf`` and
-    wipes it, also when this raises. A nonempty ``buf``, of a regular
-    file's size, is filled exactly, and IoError is raised if ``path``
-    shrank or grew. An empty one, as for a FIFO, is grown in place by a
-    pipe's worth whenever it is full, and read into straight, until the
-    input ends; no read makes a copy of its own.
+    ``buf``, from ``_growing_buffer``, is the caller's: it allocates it and
+    wipes it, also when this raises. It is grown whenever it is full, by
+    an eighth and at least a pipe's worth, read into straight until the
+    input ends, and cut to what was read. An empty input returns an empty
+    ``bytearray`` instead, as a buffer cannot be cut to nothing; nothing
+    was read into ``buf`` then.
     """
-    if buf:
-        _read_exactly(source, buf, path, action)
-        _check_ended(source, path, action)
-        return buf
     filled = 0
     with _reading(path):
         while True:
             if filled == len(buf):
-                buf.extend(bytes(_PIPE_READ))  # no view is held across a resize
+                buf.resize(filled + max(_PIPE_READ, filled >> 3))  # no view is held across it
             with memoryview(buf) as view, view[filled:] as free:
                 n = source.readinto(free)
             if not n:
                 break
             filled += n
-    del buf[filled:]
+        if not filled:
+            return bytearray()
+        buf.resize(filled)
     return buf
 
 
-def _stream_container(source, size: int, input_path: Path, out, written,
-                      key: KeyMaterial, chunk_size: int, phases: _Phases) -> tuple[int, bytes]:
+def _stream_container(source, size: int, input_path: Path, out, key: KeyMaterial,
+                      chunk_size: int, phases: _Phases) -> tuple[int, bytes]:
     """Seal ``size`` bytes from ``source`` into seekable ``out`` through one chunk buffer.
 
-    ``written`` is ``out``'s callback from ``_atomic_output``; each chunk
-    written is reported to it. Returns the artifact's length and the
-    plaintext digest.
+    Returns the artifact's length and the plaintext digest.
     """
     buf = bytearray(min(size, chunk_size))
     view = memoryview(buf)
@@ -397,10 +376,9 @@ def _stream_container(source, size: int, input_path: Path, out, written,
         _read_exactly(source, chunk, input_path, "sealed")
         return chunk, chunk
 
-    def write_chunk(chunk: memoryview, span: slice) -> None:
+    def write_chunk(chunk: memoryview) -> None:
         with phases("storage_ms"):
             out.write(chunk)
-        written(head_len + span.stop)
 
     try:
         out.seek(head_len)
@@ -413,16 +391,6 @@ def _stream_container(source, size: int, input_path: Path, out, written,
     finally:
         _wipe(buf)
     return head_len + size, digest
-
-
-def _start_writeback(fd: int, offset: int, length: int) -> None:
-    """Start writeback of ``length`` bytes of ``fd`` from ``offset``; 0 runs to the end.
-
-    Waits for no disk write. Best effort: where libc lacks
-    ``sync_file_range`` it does nothing, and its errors are ignored.
-    """
-    if _sync_file_range is not None:
-        _sync_file_range(fd, offset, length, _SYNC_FILE_RANGE_WRITE)
 
 
 def _hold(path: Path) -> int | None:
@@ -456,7 +424,7 @@ def _release(fd: int) -> None:
 
 @contextlib.contextmanager
 def _atomic_output(path: Path, phases: _Phases | None = None):
-    """Yield ``(handle, written)``: a binary file whose contents end up at ``path``.
+    """Yield a binary file whose contents end up at ``path``.
 
     A new or regular ``path`` is written through a temp file beside it,
     which takes the permission bits of the file it replaces (a new file
@@ -466,13 +434,9 @@ def _atomic_output(path: Path, phases: _Phases | None = None):
     symlink, is opened and written through as it stands, since renaming
     over it would replace the node itself. An OSError is raised as IoError.
 
-    A temp file that replaces a regular file has its whole writeback
-    started just before the rename; ``written(end)``, called once the
-    handle holds its first ``end`` bytes, starts the writeback of each
-    whole ``_WRITEBACK_WINDOW`` of them sooner. For any other output it
-    does nothing. The file it replaces is held open across the rename
-    (``_hold``) and closed on another thread (``_release``), or at once
-    if the rename fails. Everything here but the block is timed into
+    The file a temp file replaces is held open across the rename
+    (``_hold``) and closed on another thread (``_release``), or at once if
+    the rename fails. Everything here but the block is timed into
     ``phases["commit_ms"]``, if given.
     """
     phases = _Phases() if phases is None else phases
@@ -489,24 +453,12 @@ def _atomic_output(path: Path, phases: _Phases | None = None):
                                                 suffix=".tmp")
                 handle = os.fdopen(fd, "wb")
         replacing = tmp_name is not None and old is not None
-        started = 0  # writeback was started below this offset
-
-        def written(end: int) -> None:
-            nonlocal started
-            if replacing and end - started >= _WRITEBACK_WINDOW:
-                with phases("commit_ms"):
-                    _start_writeback(handle.fileno(), started, end - started)
-                started = end
-
         with handle:
             if replacing:
                 with phases("commit_ms"):
                     os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
-            yield handle, written
+            yield handle
             with phases("commit_ms"):
-                if replacing:
-                    handle.flush()
-                    _start_writeback(handle.fileno(), 0, 0)
                 handle.close()
                 if tmp_name is not None:
                     held = _hold(path) if replacing else None

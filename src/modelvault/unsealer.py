@@ -36,11 +36,13 @@ private anonymous mapping of its own from ``crypto._secret_buffer``,
 backed by huge pages where the kernel allows. It is wiped in place by
 release(), unmapped when the blob and every view of it are collected, and
 counted by tracemalloc like heap memory. A smaller one, and every raw
-``.dat`` plaintext, lives in a ``bytearray`` on the heap. So does a
-container read by ``unseal_file`` from a FIFO or another unsized input,
-whatever its size: it is decrypted in the ``bytearray`` it was read into,
-and its plaintext is the view of the payload behind the header. No dump,
-swap or lock property is claimed for any of them.
+``.dat`` plaintext from bytes or a regular file, lives in a ``bytearray``
+on the heap. An artifact that ``unseal_file`` reads from a FIFO or another
+unsized input, whatever its size, is decrypted in the buffer it was read
+into, from ``crypto._growing_buffer`` (on Linux a mapping, grown without
+a copy), and its plaintext is the view of the payload behind the header,
+or of a raw ``.dat``'s start. No dump, swap or lock property is claimed
+for any of them.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from typing import Callable, Optional
 
 from .container import (HEADER_SIZE, ContainerHeader, SealedFormat, chunk_slices, decode,
                         decode_header, detect_format, header_len)
-from .crypto import (CipherMode, KeyMaterial, _ecb_buffer, _ecb_decrypt_into, _secret_buffer,
-                     _wipe, ctr_crypt, ecb_decrypt, sha256)
+from .crypto import (CipherMode, KeyMaterial, _ecb_buffer, _ecb_decrypt_into, _growing_buffer,
+                     _secret_buffer, _wipe, ctr_crypt, ecb_decrypt, sha256)
 from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
                      ModeError, RangeError)
-from .sealer import _read_exactly, _read_whole, _reading
+from .sealer import _PIPE_READ, _read_exactly, _read_whole, _reading
 
 
 class ModelBlob:
@@ -67,10 +69,10 @@ class ModelBlob:
 
     The digest check stands in for "the model loads": feed ``data`` to
     your interpreter, then call release() to zero the buffer. The buffer is
-    a ``bytearray`` (a raw plaintext is a view of the start of one, and a
-    container read from a FIFO the view of its payload) or, for any other
-    container plaintext of 2 MiB or more, a mapping of its own (see
-    ``crypto._secret_buffer``); release() zeroes every plaintext byte in place.
+    a ``bytearray`` (a raw plaintext is a view of the start of one), a
+    mapping of its own for a container plaintext of 2 MiB or more (see
+    ``crypto._secret_buffer``), or, read from a FIFO, a view of the buffer
+    it was read into; release() zeroes every plaintext byte in place.
     """
 
     def __init__(self, buf: bytearray | mmap.mmap | memoryview, source_mode: CipherMode):
@@ -217,7 +219,7 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
     In a regular file a container is read chunk by chunk, and a raw ``.dat``
     whole, into the buffer it is decrypted in, every read bounded by the file's
     size (IoError if it shrinks). Anything else, such as a FIFO, is read whole,
-    once, into one bytearray, and decrypted there in place: a container's
+    once, into one ``_growing_buffer``, and decrypted there in place: a container's
     plaintext is the view of its payload, a raw ``.dat``'s the view of its start.
     """
     with _reading(path):
@@ -225,7 +227,7 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
     with source, _reading(path):
         info = os.fstat(source.fileno())
         size = info.st_size if stat.S_ISREG(info.st_mode) else 0
-        sealed = None if size else _read_whole(source, bytearray(), path, "unsealed")
+        sealed = None if size else _read_whole(source, _growing_buffer(_PIPE_READ), path)
         head = os.pread(source.fileno(), HEADER_SIZE, 0) if sealed is None else sealed
         size = size or len(sealed)
 

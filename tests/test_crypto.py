@@ -7,6 +7,7 @@ that shares no code with the package.
 
 import mmap
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -370,3 +371,39 @@ class TestSecretBuffer:
         buf[-1] = 1
         crypto_mod._wipe(buf)
         assert not any(buf)
+
+
+class TestGrowingBuffer:
+    @pytest.mark.parametrize("mapped", [True, False], ids=["mapping", "heap"])
+    def test_resize_grows_and_cuts_it_keeping_its_bytes(self, monkeypatch, mapped):
+        if not mapped:
+            monkeypatch.setattr(crypto_mod, "_MAP_FLAGS", None)  # as off Linux
+        elif crypto_mod._MAP_FLAGS is None:
+            pytest.skip("needs anonymous mappings")
+        buf = crypto_mod._growing_buffer(4096)
+        assert isinstance(buf, mmap.mmap) is mapped
+        assert len(buf) == 4096 and buf[:] == bytes(4096)
+        buf[:5] = b"model"
+        buf.resize(3 << 20)
+        assert len(buf) == 3 << 20 and buf[:5] == b"model"
+        assert buf[5:] == bytes((3 << 20) - 5)
+        buf.resize(5)
+        assert buf[:] == b"model"
+
+    @pytest.mark.skipif(crypto_mod._MAP_FLAGS is None, reason="needs anonymous mappings")
+    def test_a_mapping_is_traced_at_its_size_through_every_resize(self):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            buf = crypto_mod._growing_buffer(4 << 20)
+            buf.resize(8 << 20)
+            grown, peak = (n - base for n in tracemalloc.get_traced_memory())
+            buf.resize(1 << 20)
+            cut = tracemalloc.get_traced_memory()[0] - base
+            del buf
+            gone = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert 8 << 20 <= grown <= peak < 9 << 20  # never the old and the new size at once
+        assert 1 << 20 <= cut < 2 << 20
+        assert gone < 1 << 20

@@ -5,6 +5,7 @@ import errno
 import hashlib
 import io
 import json
+import mmap
 import os
 import random
 import threading
@@ -15,6 +16,7 @@ import types
 import pytest
 
 import aes_reference as ref
+import modelvault.crypto as crypto_mod
 import modelvault.sealer as sealer_mod
 from modelvault.container import (DEFAULT_CHUNK_SIZE, HEADER_SIZE, SealedFormat,
                                   chunk_slices, decode)
@@ -438,7 +440,57 @@ class TestSealFileStreaming:
         assert (tmp_path / "model.out").read_bytes() == expected
         assert report.input_len == len(MODEL)
         [buf] = read
-        assert type(buf) is bytearray and buf == bytes(len(MODEL))
+        assert isinstance(buf, mmap.mmap) and memoryview(buf) == bytes(len(MODEL))
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.skipif(crypto_mod._MAP_FLAGS is None, reason="needs anonymous mappings")
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_fifo_buffer_only_grows_in_place_and_is_wiped(self, tmp_path, fips_key,
+                                                          fixed_nonce, monkeypatch, mode):
+        # A resize that copies leaves the plaintext read so far in the freed
+        # block; one mapping grown by mremap leaves none.
+        size = 8 * 1024 * 1024
+        model = random.Random(6).randbytes(size)
+        given, resized = [], []
+        real_read_whole = sealer_mod._read_whole
+        real_resize = crypto_mod._TracedMapping.resize
+
+        def recording_read_whole(source, buf, *args):
+            given.append(buf)
+            return real_read_whole(source, buf, *args)
+
+        def recording_resize(self, n):
+            resized.append(self)
+            real_resize(self, n)
+
+        monkeypatch.setattr(sealer_mod, "_read_whole", recording_read_whole)
+        monkeypatch.setattr(crypto_mod._TracedMapping, "resize", recording_resize)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(model,), daemon=True)
+        writer.start()
+        seal_file(fifo, tmp_path / "model.out", fips_key, mode=mode, write_manifest=False)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert (tmp_path / "model.out").read_bytes() == seal(model, fips_key, mode=mode)[0]
+        [buf] = given
+        assert isinstance(buf, crypto_mod._TracedMapping)
+        assert len(resized) > 1 and all(grown is buf for grown in resized)
+        assert len(buf) == size and memoryview(buf) == bytes(size)
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_empty_fifo_seals_like_an_empty_file(self, tmp_path, fips_key, fixed_nonce,
+                                                 mode):
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(b"",), daemon=True)
+        writer.start()
+        report = seal_file(fifo, tmp_path / "model.out", fips_key, mode=mode)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert report.input_len == 0
+        assert (tmp_path / "model.out").read_bytes() == seal(b"", fips_key, mode=mode)[0]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_container_is_sealed_in_the_buffer_it_is_read_into(self, tmp_path, fips_key,
@@ -482,9 +534,16 @@ class TestSealFileStreaming:
                 return self.stream.readinto(view[:5000])  # short, like a pipe
 
         source = IntoOnly(model)
-        buf = sealer_mod._read_whole(source, bytearray(), tmp_path / "model.pipe", "sealed")
-        assert type(buf) is bytearray and buf == model
+        given = crypto_mod._growing_buffer(sealer_mod._PIPE_READ)
+        buf = sealer_mod._read_whole(source, given, tmp_path / "model.pipe")
+        assert buf is given and buf[:] == model
         assert source.targets == {id(buf)}
+
+    def test_empty_unsized_input_reads_nothing_into_the_buffer(self, tmp_path):
+        given = crypto_mod._growing_buffer(sealer_mod._PIPE_READ)
+        buf = sealer_mod._read_whole(io.BytesIO(), given, tmp_path / "model.pipe")
+        assert type(buf) is bytearray and buf == b""
+        assert memoryview(given) == bytes(sealer_mod._PIPE_READ)
 
     def test_size_reading_zero_is_read_whole(self, tmp_path, fips_key, fixed_nonce,
                                              monkeypatch):
@@ -721,113 +780,6 @@ class TestSealFileOutputs:
         assert bytes(unseal(target.read_bytes(), fips_key, SealedFormat.CONTAINER).data) == MODEL
 
 
-def _record_kicks(monkeypatch, result=0):
-    """Replace sync_file_range with a recorder; returns its (offset, length) calls."""
-    kicks = []
-
-    def recording(fd, offset, length, flags):
-        assert flags == sealer_mod._SYNC_FILE_RANGE_WRITE
-        kicks.append((offset, length))
-        return result
-
-    monkeypatch.setattr(sealer_mod, "_sync_file_range", recording)
-    return kicks
-
-
-def _covered(kicks, size):
-    """Whether the kicked ranges, a length of 0 running to the end, cover [0, size)."""
-    reached = 0
-    for offset, length in sorted(kicks):
-        if offset > reached:
-            return False
-        reached = max(reached, offset + length if length else size)
-    return reached >= size
-
-
-class TestEarlyWriteback:
-    """Replacing a regular file starts the temp file's writeback before the rename."""
-
-    SIZE = 3 * sealer_mod._WRITEBACK_WINDOW + 12345
-
-    @pytest.mark.parametrize("chunk_size", [MIN_CHUNK_SIZE, DEFAULT_CHUNK_SIZE])
-    def test_a_reseal_starts_writeback_of_every_byte_before_the_rename(
-            self, tmp_path, fips_key, monkeypatch, chunk_size):
-        model = random.Random(1).randbytes(self.SIZE)
-        src = tmp_path / "model.bin"
-        src.write_bytes(model)
-        out = tmp_path / "model.mvc"
-        out.write_bytes(b"old artifact")
-        kicks = _record_kicks(monkeypatch)
-        at_rename = []
-        real_replace = os.replace
-
-        def recording_replace(tmp, dst):
-            if dst == out:
-                at_rename.append((list(kicks), os.stat(tmp).st_size))
-            return real_replace(tmp, dst)
-
-        monkeypatch.setattr(os, "replace", recording_replace)
-        report = seal_file(src, out, fips_key, chunk_size=chunk_size)
-        [(before, tmp_size)] = at_rename
-        assert tmp_size == report.output_len
-        assert _covered(before, tmp_size)
-        windows = -(-self.SIZE // sealer_mod._WRITEBACK_WINDOW)
-        assert 1 < len(before) <= windows + 1  # windows while sealing, then the whole file
-        assert before[-1] == (0, 0)
-        assert bytes(unseal(out.read_bytes(), fips_key, SealedFormat.CONTAINER).data) == model
-        assert report.commit_ms > 0.0
-
-    def test_a_new_path_gets_none(self, tmp_path, fips_key, monkeypatch):
-        src = tmp_path / "model.bin"
-        src.write_bytes(bytes(self.SIZE))
-        kicks = _record_kicks(monkeypatch)
-        seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=MIN_CHUNK_SIZE)
-        assert (tmp_path / "model.mvc").stat().st_size > self.SIZE
-        assert kicks == []
-
-    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
-    def test_a_fifo_gets_none(self, tmp_path, fips_key, monkeypatch):
-        src = tmp_path / "model.bin"
-        src.write_bytes(MODEL)
-        fifo = tmp_path / "model.pipe"
-        os.mkfifo(fifo)
-        received = []
-        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
-                                  daemon=True)
-        reader.start()
-        kicks = _record_kicks(monkeypatch)
-        seal_file(src, fifo, fips_key, chunk_size=MIN_CHUNK_SIZE, write_manifest=False)
-        reader.join(timeout=10)
-        assert not reader.is_alive()
-        assert bytes(unseal(received[0], fips_key, SealedFormat.CONTAINER).data) == MODEL
-        assert kicks == []
-
-    def test_a_replaced_manifest_gets_one(self, tmp_path, fips_key, monkeypatch):
-        src = tmp_path / "model.bin"
-        src.write_bytes(MODEL)
-        out = tmp_path / "model.mvc"
-        seal_file(src, out, fips_key)
-        kicks = _record_kicks(monkeypatch)
-        seal_file(src, out, fips_key)
-        assert kicks == [(0, 0), (0, 0)]  # the artifact, then its manifest
-
-    def test_a_slow_kick_counts_in_commit_ms_not_storage_ms(self, tmp_path, fips_key,
-                                                            monkeypatch):
-        src = tmp_path / "model.bin"
-        src.write_bytes(bytes(2 * sealer_mod._WRITEBACK_WINDOW))
-        out = tmp_path / "model.mvc"
-        out.write_bytes(b"old artifact")
-
-        def slow(fd, offset, length, flags):
-            time.sleep(0.05)
-            return 0
-
-        monkeypatch.setattr(sealer_mod, "_sync_file_range", slow)
-        report = seal_file(src, out, fips_key, write_manifest=False)
-        assert report.commit_ms >= 150.0  # two windows and the whole file
-        assert report.storage_ms < 50.0
-
-
 # The fds this process holds, one entry each; /dev/fd where there is no procfs.
 _FD_DIR = "/proc/self/fd" if os.path.isdir("/proc/self/fd") else "/dev/fd"
 
@@ -860,7 +812,7 @@ class TestReleaseReplaced:
     @pytest.fixture
     def paths(self, tmp_path):
         src = tmp_path / "model.bin"
-        src.write_bytes(random.Random(4).randbytes(2 * sealer_mod._WRITEBACK_WINDOW))
+        src.write_bytes(random.Random(4).randbytes(2 << 20))  # two default chunks
         out = tmp_path / "model.mvc"
         out.write_bytes(b"the old artifact" * 1000)
         return src, out
@@ -958,7 +910,7 @@ class TestReleaseReplaced:
 class TestCommitCrashPoints:
     """Each step of replacing an artifact fails in turn; the old one survives whole."""
 
-    SIZE = sealer_mod._WRITEBACK_WINDOW + 54321  # one window, then the whole file
+    SIZE = (1 << 20) + 54321  # 257 chunks of MIN_CHUNK_SIZE
 
     @pytest.fixture
     def paths(self, tmp_path, fixed_nonce):
@@ -990,22 +942,14 @@ class TestCommitCrashPoints:
         monkeypatch.setattr(os, "fdopen",
                             lambda fd, mode: FailingWrite(real_fdopen(fd, mode)))
 
-    def _fail_kick(self, monkeypatch, nth):
-        calls = []
-
-        def failing(fd, offset, length, flags):
-            calls.append(offset)
-            if len(calls) == nth:
-                raise KeyboardInterrupt
-            return 0
-
-        monkeypatch.setattr(sealer_mod, "_sync_file_range", failing)
-
     def _raise(self, *args, **kwargs):
         raise OSError(errno.ENOSPC, "No space left on device")
 
-    @pytest.mark.parametrize("step", ["mkstemp", "chmod", "write", "window-kick",
-                                      "final-kick", "replace"])
+    def _interrupt(self, *args, **kwargs):
+        raise KeyboardInterrupt
+
+    @pytest.mark.parametrize("step", ["mkstemp", "chmod", "write", "replace",
+                                      "interrupted-replace"])
     def test_a_failed_step_leaves_the_old_artifact(self, paths, fips_key, monkeypatch,
                                                    step):
         src, out = paths
@@ -1015,33 +959,14 @@ class TestCommitCrashPoints:
             monkeypatch.setattr(os, "chmod", self._raise)
         elif step == "write":
             self._fail_write(monkeypatch)
-        elif step == "window-kick":
-            self._fail_kick(monkeypatch, 1)
-        elif step == "final-kick":
-            self._fail_kick(monkeypatch, 2)
-        else:
+        elif step == "replace":
             monkeypatch.setattr(os, "replace", self._raise)
-        expected = KeyboardInterrupt if step.endswith("kick") else IoError
+        else:
+            monkeypatch.setattr(os, "replace", self._interrupt)
+        expected = KeyboardInterrupt if step == "interrupted-replace" else IoError
         fds = _settled_fds()
         with pytest.raises(expected):
             seal_file(src, out, fips_key, chunk_size=MIN_CHUNK_SIZE, write_manifest=False)
         assert _settled_fds() == fds  # nothing leaked, the held old file included
         assert out.read_bytes() == b"the whole old artifact"
-        assert _leftovers(out.parent, "model.bin", "model.mvc") == []
-
-    @pytest.mark.parametrize("kick", ["failing", "missing"])
-    def test_a_failing_or_missing_kick_seals_the_same_bytes(self, paths, fips_key,
-                                                            monkeypatch, kick):
-        src, out = paths
-        if kick == "failing":
-            kicks = _record_kicks(monkeypatch, result=-1)
-        else:
-            monkeypatch.setattr(sealer_mod, "_sync_file_range", None)
-        report = seal_file(src, out, fips_key, chunk_size=MIN_CHUNK_SIZE,
-                           write_manifest=False)
-        sealed, _ = seal(src.read_bytes(), fips_key, chunk_size=MIN_CHUNK_SIZE)
-        assert out.read_bytes() == sealed
-        assert report.output_len == len(sealed)
-        if kick == "failing":
-            assert len(kicks) == 2
         assert _leftovers(out.parent, "model.bin", "model.mvc") == []

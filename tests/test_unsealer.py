@@ -786,6 +786,22 @@ class TestUnsealFile:
         assert blob.source_mode is CipherMode.RAW_ECB_PKCS7
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("fmt", ["container", "raw"])
+    def test_fifo_is_read_into_a_heap_buffer_off_linux(self, container_bytes, raw_bytes,
+                                                       fips_key, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(crypto_mod, "_MAP_FLAGS", None)  # no anonymous mappings
+        sealed = bytes(container_bytes if fmt == "container" else raw_bytes)
+        fifo = tmp_path / "sealed.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(sealed,), daemon=True)
+        writer.start()
+        blob = unseal_file(fifo, fips_key)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert blob.to_bytes() == MODEL
+        assert type(blob.data.obj) is crypto_mod._HeapBuffer
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_raw_fifo_is_decrypted_in_the_buffer_it_is_read_into(self, fips_key, tmp_path):
         size = 8 * 1024 * 1024
         sealed, _ = seal(bytes(size), fips_key, mode=CipherMode.RAW_ECB_PKCS7)
@@ -843,10 +859,10 @@ class TestUnsealFile:
         if flip:
             [payload] = wiped
             assert len(payload) == size and payload == bytes(size)
-            assert type(payload.obj) is bytearray and len(payload.obj) == len(sealed)
+            assert isinstance(payload.obj, mmap.mmap) and len(payload.obj) == len(sealed)
         else:
             assert wiped == [] and blob.data == model
-            assert type(blob.data.obj) is bytearray and len(blob.data.obj) == len(sealed)
+            assert isinstance(blob.data.obj, mmap.mmap) and len(blob.data.obj) == len(sealed)
             assert peak <= 1.2 * size
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
