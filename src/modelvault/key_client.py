@@ -47,17 +47,15 @@ _idle_lock = threading.Lock()
 _idle: tuple[tuple, HTTPConnection] | None = None  # ((scheme, host, port), conn)
 
 
-def _swap_idle(entry: tuple[tuple, HTTPConnection] | None):
-    """Put ``entry`` in the idle slot; return what the slot held."""
+def _swap_idle(entry: tuple[tuple, HTTPConnection] | None = None,
+               origin: tuple | None = None) -> HTTPConnection | None:
+    """Put ``entry`` in the idle slot and close the connection it held.
+
+    A held connection that leads to ``origin`` is returned instead of closed.
+    """
     global _idle
     with _idle_lock:
         held, _idle = _idle, entry
-    return held
-
-
-def _take_idle(origin: tuple) -> HTTPConnection | None:
-    """Empty the idle slot; return its connection if it leads to ``origin``."""
-    held = _swap_idle(None)
     if held is None:
         return None
     held_origin, conn = held
@@ -67,19 +65,7 @@ def _take_idle(origin: tuple) -> HTTPConnection | None:
     return None
 
 
-def _keep_idle(origin: tuple, conn: HTTPConnection) -> None:
-    """Put ``conn`` in the idle slot, closing whatever was there."""
-    held = _swap_idle((origin, conn))
-    if held is not None:
-        held[1].close()
-
-
-@atexit.register
-def _close_idle() -> None:
-    """Close the idle connection, if any."""
-    held = _swap_idle(None)
-    if held is not None:
-        held[1].close()
+atexit.register(_swap_idle)
 
 
 def _forget_idle_in_child() -> None:
@@ -88,7 +74,7 @@ def _forget_idle_in_child() -> None:
     # a thread that the child does not have.
     global _idle_lock
     _idle_lock = threading.Lock()
-    _close_idle()
+    _swap_idle()
 
 
 os.register_at_fork(after_in_child=_forget_idle_in_child)
@@ -110,7 +96,7 @@ def _send(origin: tuple, target: str, headers: dict, timeout: float):
     The idle connection is used when it leads to ``origin``; if the server
     dropped it, the GET goes once more over a fresh connection.
     """
-    conn = _take_idle(origin)
+    conn = _swap_idle(origin=origin)
     if conn is not None:
         conn.timeout = timeout
         conn.sock.settimeout(timeout)
@@ -170,7 +156,7 @@ def fetch_key(url: str, token: str, timeout: float = DEFAULT_TIMEOUT) -> KeyMate
     finally:
         response.close()
         if reusable:
-            _keep_idle(origin, conn)
+            _swap_idle((origin, conn))
         else:
             conn.close()
 

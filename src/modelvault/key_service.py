@@ -2,10 +2,14 @@
 
 ``GET /v1/model-key`` with a valid ``Authorization: Bearer <jwt>`` header
 answers ``{"key": "<16-character passphrase>"}``. Tokens are HS256 JWTs
-signed with a shared secret; only the ``exp`` claim is required, and any
-``alg`` other than HS256 is rejected outright (no algorithm negotiation).
-Every authentication failure gets the same 401 body, so the response does
-not reveal which check failed.
+signed with a shared secret; only the ``exp`` claim is required, and it
+must be a finite number. Any ``alg`` other than HS256 is rejected outright
+(no algorithm negotiation). Every refusal on the key path, whether the
+header is missing or not Bearer, or the token is malformed (non-ASCII text
+included), wrongly signed or expired, gets the same
+``401 {"error": "unauthorized"}``, so the response does not reveal which
+check failed. A request the service cannot parse still gets an answer: a
+target that does not parse, such as ``http://[x/v1/model-key``, is a 404.
 
 This is the development/test half of the key flow. It speaks plain HTTP;
 a production deployment must sit behind TLS termination.
@@ -19,7 +23,6 @@ request on a connection is authenticated on its own.
 from __future__ import annotations
 
 import base64
-import binascii
 import hashlib
 import hmac
 import json
@@ -73,31 +76,30 @@ def issue_token(jwt_secret: bytes, ttl: float, now: float | None = None) -> str:
 
 def verify_token(jwt_secret: bytes, token: str, now: float | None = None,
                  clock_skew: float = 0.0) -> bool:
-    """True only for a well-formed HS256 token with a live ``exp`` claim."""
+    """True only for a well-formed HS256 token with a live ``exp`` claim.
+
+    ``exp`` must be a finite JSON number. A token that does not split into
+    three ASCII parts, or whose parts do not decode as base64url JSON, is
+    False like any other; this never raises for a ``str`` token.
+    """
     if now is None:
         now = time.time()
-    parts = token.split(".")
-    if len(parts) != 3:
-        return False
-    header_part, payload_part, signature_part = parts
     try:
-        header = json.loads(_b64url_decode(header_part))
-        signature = _b64url_decode(signature_part)
-    except (ValueError, binascii.Error):
-        return False
-    if not isinstance(header, dict) or header.get("alg") != "HS256":
-        return False
-    expected = _sign(jwt_secret, f"{header_part}.{payload_part}".encode("ascii"))
-    if not hmac.compare_digest(expected, signature):
-        return False
-    try:
-        payload = json.loads(_b64url_decode(payload_part))
-    except (ValueError, binascii.Error):
-        return False
-    if not isinstance(payload, dict):
-        return False
-    exp = payload.get("exp")
-    if not isinstance(exp, (int, float)) or isinstance(exp, bool):
+        header_part, payload_part, signature_part = token.split(".")
+        signing_input = f"{header_part}.{payload_part}".encode("ascii")
+        if json.loads(_b64url_decode(header_part)).get("alg") != "HS256":
+            return False
+        if not hmac.compare_digest(_sign(jwt_secret, signing_input),
+                                   _b64url_decode(signature_part)):
+            return False
+        exp = json.loads(_b64url_decode(payload_part)).get("exp")
+        # A bool is an int to Python, and json reads NaN, Infinity and 1e999.
+        if type(exp) not in (int, float) or not math.isfinite(exp):
+            return False
+    # binascii.Error and every JSON and Unicode error are ValueErrors; a
+    # non-object header or payload has no .get; an int past any float
+    # overflows isfinite; deep JSON nesting exhausts the recursion limit.
+    except (ValueError, AttributeError, OverflowError, RecursionError):
         return False
     return now <= exp + clock_skew
 
@@ -127,20 +129,20 @@ def handle_key_request(config: ServiceConfig, method: str, path: str,
                        now: float | None = None) -> tuple[int, dict]:
     """Route one request. Returns (HTTP status, JSON-ready body).
 
-    Pure apart from the clock, which tests can pin via ``now``.
+    Pure apart from the clock, which tests can pin via ``now``. Any ``str``
+    arguments get an answer; none makes it raise.
     """
-    if urlparse(path).path != KEY_PATH:
+    try:
+        route = urlparse(path).path
+    except ValueError:  # such as the unclosed bracket of "http://[x/v1/model-key"
+        route = None
+    if route != KEY_PATH:
         return 404, {"error": "not found"}
     if method != "GET":
         return 405, {"error": "method not allowed"}
-    if not authorization:
-        return _UNAUTHORIZED
-    scheme, _, token = authorization.partition(" ")
-    token = token.strip()
-    if scheme.lower() != "bearer" or not token:
-        return _UNAUTHORIZED
-    if not verify_token(config.jwt_secret, token, now=now,
-                        clock_skew=config.token_clock_skew):
+    scheme, _, token = (authorization or "").partition(" ")
+    if scheme.lower() != "bearer" or not verify_token(
+            config.jwt_secret, token.strip(), now=now, clock_skew=config.token_clock_skew):
         return _UNAUTHORIZED
     return 200, {"key": config.passphrase}
 

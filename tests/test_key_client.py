@@ -27,9 +27,9 @@ TOKEN_SENTINEL = "tok-3f1b9d"  # appearing in any error text would be a leak
 @pytest.fixture(autouse=True)
 def no_idle_connection():
     """Each test starts and ends without a kept-alive connection."""
-    key_client._close_idle()
+    key_client._swap_idle()
     yield
-    key_client._close_idle()
+    key_client._swap_idle()
 
 
 def service_config() -> ServiceConfig:
@@ -43,6 +43,9 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.hits.append(self.path)
         if self.path == "/slow":
             time.sleep(1.0)
+        if self.path in ("/cut-chunk", "/stalled-body"):
+            self.send_cut_short()
+            return
         status, headers, body = self.server.routes.get(
             self.path, (404, {}, b'{"error": "not found"}'))
         self.send_response(status)
@@ -51,6 +54,22 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+    def send_cut_short(self):
+        """Promise a 100-byte body and send 10 bytes of it."""
+        self.send_response(200)
+        if self.path == "/cut-chunk":  # the connection closes inside the chunk
+            self.send_header("Transfer-Encoding", "chunked")
+            self.end_headers()
+            self.wfile.write(b"64\r\n" + b'{"key": "0')
+        else:
+            # The rest never arrives. (A sized body whose connection closes
+            # early is read short by http.client, with no error.)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"key": "0')
+            self.wfile.flush()
+            time.sleep(1.0)
 
     def log_message(self, *args):
         pass
@@ -188,6 +207,13 @@ class TestFetchKeyResponseValidation:
         with pytest.raises(TransportError):
             fetch_key(f"{base}/redirect", TOKEN_SENTINEL)
         assert "/ok" not in server.hits  # the Location was never chased
+
+    @pytest.mark.parametrize("path", ["/cut-chunk", "/stalled-body"])
+    def test_body_that_fails_to_arrive_is_transport_error(self, stub, path):
+        _, base = stub
+        with pytest.raises(TransportError, match="cannot reach key service"):
+            fetch_key(f"{base}{path}", TOKEN_SENTINEL, timeout=0.2)
+        assert key_client._idle is None
 
     def test_read_timeout_is_transport_error(self, stub):
         _, base = stub

@@ -13,6 +13,8 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from modelvault.errors import LengthError, RangeError
 from modelvault.key_service import (KEY_PATH, KeyService, ServiceConfig,
@@ -28,6 +30,14 @@ PASSPHRASE = "0123456789abcdef"
 GOLDEN_TOKEN = ("eyJhbGciOiJIUzI1NiIsInR5cCI6IkpXVCJ9"
                 ".eyJleHAiOjIwMDAwMDAwMDB9"
                 ".amBi3aeJrhmG_zFB87pt0lSGoPSwQTo-Su9Ga-MkAtg")
+GOLDEN_HEAD, _, GOLDEN_SIGNATURE = GOLDEN_TOKEN.split(".")
+
+# The golden token with a payload segment that has no ASCII encoding.
+NON_ASCII_TOKEN = f"{GOLDEN_HEAD}.\u00e9.{GOLDEN_SIGNATURE}"
+# A target that urlparse cannot split: the IPv6 bracket is never closed.
+UNPARSABLE_TARGET = "http://[x/v1/model-key"
+
+UNAUTHORIZED = (401, {"error": "unauthorized"})
 
 
 def config(**overrides) -> ServiceConfig:
@@ -116,9 +126,14 @@ class TestVerifyToken:
         "a.b.c.d",
         "!!!.???.###",
         "e30.e30.e30",                    # {} header: no alg
+        pytest.param(NON_ASCII_TOKEN, id="non-ascii-payload"),
+        pytest.param("\u00e9.e30.e30", id="non-ascii-header"),
+        pytest.param(f"{b64url(b'[' * 100_000)}.e30.x", id="nested-past-recursion-limit"),
     ])
     def test_malformed_tokens_rejected(self, bad):
         assert not verify_token(SECRET, bad, now=0)
+        assert handle_key_request(config(), "GET", KEY_PATH, f"Bearer {bad}",
+                                  now=0) == UNAUTHORIZED
 
     def test_missing_exp_rejected(self):
         token = issue_token(SECRET, 60)
@@ -126,10 +141,20 @@ class TestVerifyToken:
         empty = base64.urlsafe_b64encode(b"{}").rstrip(b"=").decode()
         assert not verify_token(SECRET, f"{head}.{empty}.x", now=0)
 
-    @pytest.mark.parametrize("exp", ["soon", None, True, [1]])
+    @pytest.mark.parametrize("exp", [
+        "soon", None, True, [1],
+        # json.dumps writes these as Infinity, -Infinity and NaN, which JSON
+        # (RFC 8259 section 6) does not have; the next is no float at all,
+        # and the last two are JSON text that Python reads as infinities.
+        math.inf, -math.inf, math.nan, pytest.param(10**400, id="400-digits"),
+        pytest.param(b"1e999", id="1e999-text"), pytest.param(b"-1e999", id="-1e999-text"),
+    ])
     def test_non_numeric_exp_rejected(self, exp):
-        token = forge({"alg": "HS256", "typ": "JWT"}, {"exp": exp})
+        text = exp if isinstance(exp, bytes) else json.dumps(exp).encode()
+        token = signed(GOLDEN_HEAD, b64url(b'{"exp":' + text + b"}"))
         assert not verify_token(SECRET, token, now=0)
+        assert handle_key_request(config(), "GET", KEY_PATH, f"Bearer {token}",
+                                  now=0) == UNAUTHORIZED
 
     def test_non_dict_payload_rejected(self):
         head = GOLDEN_TOKEN.split(".")[0]
@@ -191,10 +216,10 @@ class TestHandleKeyRequest:
         assert status == 200
 
     def test_unknown_path_404(self):
-        status, body = handle_key_request(
-            config(), "GET", "/v1/other", f"Bearer {self.good_token()}")
-        assert status == 404
-        assert "key" not in body
+        for path in ("/v1/other", UNPARSABLE_TARGET):
+            status, body = handle_key_request(
+                config(), "GET", path, f"Bearer {self.good_token()}")
+            assert (status, body) == (404, {"error": "not found"})
 
     def test_non_get_405(self):
         for method in ("POST", "PUT", "DELETE", "PATCH"):
@@ -213,6 +238,8 @@ class TestHandleKeyRequest:
             "Bearer not-a-jwt",
             f"Bearer {GOLDEN_TOKEN[:-2]}xx",            # broken signature
             f"Bearer {issue_token(b'wrong', 60)}",      # wrong secret
+            f"Bearer {NON_ASCII_TOKEN}",
+            f"Bearer {forge({'alg': 'HS256'}, {'exp': math.inf})}",  # never expires
         ]
         responses = [handle_key_request(config(), "GET", KEY_PATH, auth)
                      for auth in shapes]
@@ -220,12 +247,26 @@ class TestHandleKeyRequest:
             config(), "GET", KEY_PATH,
             f"Bearer {issue_token(SECRET, 1, now=0)}", now=100.0))  # expired
         for status, body in responses:
-            assert (status, body) == (401, {"error": "unauthorized"})
+            assert (status, body) == UNAUTHORIZED
 
     def test_bearer_scheme_is_case_insensitive(self):
         status, _ = handle_key_request(
             config(), "GET", KEY_PATH, f"bearer {self.good_token()}")
         assert status == 200
+
+    # Any text at all, and text shaped like the key path and a bearer token.
+    @settings(max_examples=300, deadline=None)
+    @given(method=st.sampled_from(["GET", "POST", "HEAD"]) | st.text(),
+           path=st.text() | st.text().map(KEY_PATH.__add__)
+           | st.text().map(lambda host: f"http://{host}{KEY_PATH}"),
+           authorization=st.none() | st.text() | st.text().map("Bearer ".__add__)
+           | st.lists(st.text(), max_size=4).map(lambda parts: "Bearer " + ".".join(parts)))
+    @example(method="GET", path=UNPARSABLE_TARGET, authorization=None)
+    @example(method="GET", path=KEY_PATH, authorization=f"Bearer {NON_ASCII_TOKEN}")
+    def test_every_refused_request_gets_an_answer(self, method, path, authorization):
+        status, body = handle_key_request(config(), method, path, authorization, now=0)
+        assert (status, body) in [UNAUTHORIZED, (404, {"error": "not found"}),
+                                  (405, {"error": "method not allowed"})]
 
     def test_clock_skew_honored(self):
         stale = issue_token(SECRET, 1, now=0)
@@ -274,6 +315,22 @@ class TestKeyServiceHttp:
                                     method="POST")
         assert status == 405
 
+    @pytest.mark.parametrize("target,token,answer", [
+        (KEY_PATH, NON_ASCII_TOKEN, UNAUTHORIZED),  # sent as Latin-1
+        (UNPARSABLE_TARGET, GOLDEN_TOKEN, (404, {"error": "not found"})),
+    ], ids=["non-ascii-token", "unparsable-target"])
+    def test_request_it_cannot_parse_is_answered(self, service, target, token,
+                                                 answer):
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=5)
+        try:  # RemoteDisconnected if nothing is answered
+            # A Host header of its own keeps http.client from parsing the target.
+            conn.request("GET", target, headers={"Host": "127.0.0.1",
+                                                 "Authorization": f"Bearer {token}"})
+            with conn.getresponse() as response:
+                assert (response.status, json.loads(response.read())) == answer
+        finally:
+            conn.close()
+
     def test_port_is_bound(self, service):
         assert service.port > 0
         assert str(service.port) in service.url
@@ -301,6 +358,32 @@ class TestKeyServiceHttp:
         start = time.monotonic()
         svc.stop()
         assert time.monotonic() - start < 0.25
+
+    def test_serve_forever_serves_until_stopped(self):
+        # The inline loop that `mvc serve-key` runs.
+        svc = KeyService(config())
+        loop = threading.Thread(target=svc.serve_forever, daemon=True)
+        loop.start()
+        try:
+            status, body = self.request(svc.url, issue_token(SECRET, 60))
+            assert (status, body) == (200, {"key": PASSPHRASE})
+        finally:
+            start = time.monotonic()
+            svc.stop()
+            stopped_in = time.monotonic() - start
+        loop.join(timeout=5)
+        assert not loop.is_alive()
+        assert stopped_in < 0.25
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(("127.0.0.1", svc.port), timeout=5).close()
+
+    def test_connection_accepted_after_stop_began_is_not_answered(self):
+        with KeyService(config()) as svc:
+            # stop() marks the server closing before the serving loop has
+            # ended; a connection that loop accepts meanwhile gets no answer.
+            svc._server.end_connections()
+            with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as late:
+                assert late.recv(1) == b""  # ended by the server, nothing sent
 
     def test_idle_client_is_disconnected(self, monkeypatch):
         assert _Handler.timeout is not None and _Handler.timeout > 0
