@@ -2,6 +2,8 @@
 
 The pieces, bottom up:
 
+* :mod:`modelvault._files` -- private: the file I/O and phase timing that
+  sealing, unsealing, the CLI and the benchmark share
 * :mod:`modelvault.crypto` -- AES-256 primitives and key handling
 * :mod:`modelvault.container` -- the versioned sealed-container layout
 * :mod:`modelvault.sealer` -- file in, sealed artifact plus manifest out

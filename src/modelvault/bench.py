@@ -26,10 +26,11 @@ import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._files import _now_ms
 from .container import DEFAULT_CHUNK_SIZE, SealedFormat
 from .crypto import KeyMaterial, CipherMode
 from .errors import DegenerateError, RangeError
-from .sealer import _now_ms, seal_file
+from .sealer import seal_file
 from .unsealer import unseal
 
 MIB = 1024 * 1024

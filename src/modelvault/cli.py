@@ -32,6 +32,7 @@ import string
 import sys
 from pathlib import Path
 
+from ._files import _atomic_output, _now_ms
 from .bench import (DEFAULT_REPS, DEFAULT_SEED, DEFAULT_SIZES_MB, emit_table,
                     fit_linear, format_fit, run_bench)
 from .container import DEFAULT_CHUNK_SIZE, SealedFormat
@@ -41,7 +42,7 @@ from .errors import (AuthError, DegenerateError, DigestError, KeyMismatchError,
                      ModelVaultError, PaddingError)
 from .key_client import fetch_key
 from .key_service import KeyService, ServiceConfig, issue_token
-from .sealer import _atomic_output, _now_ms, seal_file
+from .sealer import seal_file
 from .unsealer import unseal_file
 
 # Errors that mean "the cryptography said no", not "you held it wrong".

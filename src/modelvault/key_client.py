@@ -26,7 +26,7 @@ import atexit
 import json
 import os
 import threading
-from http.client import HTTPConnection, HTTPException, HTTPSConnection
+from http.client import HTTPConnection, HTTPException, HTTPSConnection, IncompleteRead
 from urllib.parse import urlsplit
 
 from .crypto import KeyMaterial, derive_key
@@ -131,9 +131,10 @@ def _split_url(url: str) -> tuple[tuple, str]:
 def fetch_key(url: str, token: str, timeout: float = DEFAULT_TIMEOUT) -> KeyMaterial:
     """GET the key endpoint with a bearer token and derive the AES-256 key.
 
-    Raises AuthError on 401/403, TransportError on connection trouble or
-    any other unexpected status, FormatError when the response body is not
-    the expected ``{"key": "<16 chars>"}`` shape.
+    Raises AuthError on 401/403, TransportError on connection trouble (a
+    body that ends before its Content-Length included) or any other
+    unexpected status, FormatError when the response body is not the
+    expected ``{"key": "<16 chars>"}`` shape.
     """
     origin, target = _split_url(url)
     headers = {"Authorization": f"Bearer {token}", "Accept": "application/json"}
@@ -149,6 +150,8 @@ def fetch_key(url: str, token: str, timeout: float = DEFAULT_TIMEOUT) -> KeyMate
     try:
         status = response.status
         raw = response.read(_MAX_BODY_BYTES + 1)
+        if response.length and len(raw) <= _MAX_BODY_BYTES:  # http.client reads it short
+            raise IncompleteRead(raw, response.length)
         reusable = (response.isclosed() and not response.will_close
                     and len(raw) <= _MAX_BODY_BYTES)
     except (OSError, HTTPException) as exc:

@@ -9,7 +9,8 @@ header is missing or not Bearer, or the token is malformed (non-ASCII text
 included), wrongly signed or expired, gets the same
 ``401 {"error": "unauthorized"}``, so the response does not reveal which
 check failed. A request the service cannot parse still gets an answer: a
-target that does not parse, such as ``http://[x/v1/model-key``, is a 404.
+target that does not parse, such as ``http://[x/v1/model-key``, is a 404,
+and any method but GET on the key path, whatever its name, is a JSON 405.
 
 This is the development/test half of the key flow. It speaks plain HTTP;
 a production deployment must sit behind TLS termination.
@@ -185,7 +186,10 @@ class _Handler(BaseHTTPRequestHandler):
         if self.command != "HEAD":
             self.wfile.write(encoded)
 
-    do_GET = do_POST = do_PUT = do_DELETE = do_PATCH = do_HEAD = _respond
+    def __getattr__(self, name):
+        # http.server looks up do_<METHOD>; every method, OPTIONS and BREW
+        # included, gets handle_key_request's answer rather than a 501 page.
+        return self._respond if name.startswith("do_") else object.__getattribute__(self, name)
 
     def log_message(self, format, *args):
         # Silence the default access log: nothing is logged per request.

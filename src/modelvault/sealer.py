@@ -19,39 +19,20 @@ cannot seek are handled whole in memory. ``seal_file`` allocates one
 buffer for the model, which is only filled, and wipes it once the model
 is sealed or the seal has failed. A regular file is read into a
 ``bytearray`` of its size (and refused if it changes size meanwhile).
-An input that is not a regular file (a FIFO, ``/dev/stdin``), or a
-regular file whose size reads 0 (a procfs pseudo-file), is read by
-``_read_whole`` into a buffer from ``crypto._growing_buffer``, which it
-grows until the input ends: on Linux a mapping that ``mremap`` moves
-rather than copies, so no resize leaves plaintext behind in freed
-memory. A container is sealed where it was read: each chunk is hashed
-and encrypted in place in that buffer, and the header is written
-followed by the buffer, so the model is held once. A raw seal encrypts
-into a second, padded buffer, as ``seal`` does, and so holds the model
-about twice. An empty file seals to the same bytes either way.
+Any other input, or a regular file whose size reads 0, is read by
+``_files._read_whole`` into a buffer that grows until the input ends. A
+container is sealed where it was read: each chunk is hashed and
+encrypted in place in that buffer, and the header is written followed by
+the buffer, so the model is held once. A raw seal encrypts into a
+second, padded buffer, as ``seal`` does, and so holds the model about
+twice. An empty file seals to the same bytes either way.
 
-Every output (the artifact, its manifest, ``mvc unseal --out``) goes
-through ``_atomic_output``: a new or regular path is written to a temp
-file and renamed over it, and keeps its mode; a FIFO, device or symlink
-is written through. As that truncates, ``seal_file`` refuses a symlink
-to the model itself. With a manifest, it refuses, before opening
-anything, an output that is neither new nor, links followed, a regular
-file, such as a FIFO. Nothing is fsynced: the rename is atomic, but
-after a power loss it may survive while the data does not. ext4
-(``auto_da_alloc``) starts the temp file's writeback inside a rename
-that replaces a file, and that wait is part of the rename.
-
-The rename of a replacing output does not free the file it replaces
-either. Freeing the blocks of a file that has reached the disk is a
-wait in the kernel (ext4 mounted ``discard`` makes it a long one), and
-it falls on whoever drops the last reference to the inode. So
-``_atomic_output`` opens the old file with ``O_PATH`` just before the
-rename, which then only unlinks a name, and closes that fd on a
-short-lived daemon thread: the freeing overlaps the caller's next work,
-and the replaced file's space comes back a few ms after ``seal_file``
-returns (a short-lived process pays it at exit). A child forked in that
-window holds the fd until it exits or execs. Where ``O_PATH`` does not
-exist, the rename frees the file itself, as before.
+The artifact and its manifest are written through
+``_files._atomic_output``, which renames a temp file over a new or
+regular path and writes a FIFO, device or symlink through. As that
+truncates, ``seal_file`` refuses a symlink to the model itself. With a
+manifest, it refuses, before opening anything, an output that is
+neither new nor, links followed, a regular file, such as a FIFO.
 
 Timing split mirrors the two-column reporting convention this toolkit
 benchmarks against, with the digest and the commit timed on their own.
@@ -81,12 +62,11 @@ import json
 import os
 import secrets
 import stat
-import tempfile
-import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
+from ._files import (_PIPE_READ, _Phases, _atomic_output, _check_ended, _open_input,
+                     _read_exactly, _read_whole)
 from .container import (
     ContainerHeader,
     DEFAULT_CHUNK_SIZE,
@@ -101,9 +81,8 @@ from .crypto import (CipherMode, KeyMaterial, NONCE_BYTES, _growing_buffer, _wip
 from .errors import IoError, RangeError
 
 MIN_CHUNK_SIZE = 4096
-
-# A pipe holds 64 KiB by default, so a larger read from one gains nothing.
-_PIPE_READ = 64 * 1024
+# The SealReport fields that a seal's _Phases times.
+_SEAL_PHASES = ("hash_ms", "encrypt_ms", "storage_ms", "commit_ms")
 
 
 @dataclass(frozen=True)
@@ -131,30 +110,6 @@ class SealReport:
         }
 
 
-def _now_ms() -> float:
-    return time.perf_counter_ns() / 1e6
-
-
-class _Phases(dict):
-    """Milliseconds spent in each timed phase of one seal, by SealReport field name.
-
-    ``with phases("hash_ms"):`` adds the block's wall time to that phase.
-    """
-
-    def __init__(self):
-        super().__init__(hash_ms=0.0, encrypt_ms=0.0, storage_ms=0.0, commit_ms=0.0)
-
-    @contextlib.contextmanager
-    def __call__(self, name: str):
-        start = _now_ms()
-        yield
-        self[name] += _now_ms() - start
-
-    def report(self, input_len, output_len, mode, digest) -> SealReport:
-        """The report of a seal with these outcomes and these phase times."""
-        return SealReport(input_len, output_len, mode, plaintext_digest=digest, **self)
-
-
 def _check_chunk_size(mode: CipherMode, chunk_size: int) -> None:
     if mode is CipherMode.CHUNKED_CTR and not MIN_CHUNK_SIZE <= chunk_size <= MAX_CHUNK_SIZE:
         raise RangeError(f"chunk_size must be between {MIN_CHUNK_SIZE} and "
@@ -176,17 +131,17 @@ def seal(
     storage.
     """
     _check_chunk_size(mode, chunk_size)
-    phases = _Phases()
+    phases = _Phases(*_SEAL_PHASES)
+    size = len(model_bytes)
     if mode is CipherMode.RAW_ECB_PKCS7:
         sealed, digest = _seal_raw(model_bytes, key, phases)
     else:
-        size = len(model_bytes)
         head_len = header_len(chunk_count_for(size, chunk_size))
         sealed = bytearray(head_len + size)
         payload, source = memoryview(sealed)[head_len:], memoryview(model_bytes)
         sealed[:head_len], digest = _seal_chunks(size, key, chunk_size, phases,
                                                  lambda span: (source[span], payload[span]))
-    return sealed, phases.report(len(model_bytes), len(sealed), mode, digest)
+    return sealed, SealReport(size, len(sealed), mode, plaintext_digest=digest, **phases)
 
 
 def _seal_raw(model, key: KeyMaterial, phases: _Phases) -> tuple[bytearray, bytes]:
@@ -258,17 +213,12 @@ def seal_file(
                 raise IoError(f"cannot write a manifest beside {output_path}: it is not "
                               "a regular file; seal to it without a manifest",
                               path=str(output_path))
-    with _reading(input_path):
-        source = open(input_path, "rb", buffering=0)
-    with source:
-        with _reading(input_path):
-            info = os.fstat(source.fileno())
-        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+    with _open_input(input_path) as (source, info, size):
         with contextlib.suppress(OSError):  # a dangling link is not the model
             if output_path.is_symlink() and os.path.samestat(os.stat(output_path), info):
                 raise IoError(f"cannot write {output_path}: it is a link to the model "
                               f"file {input_path}", path=str(output_path))
-        phases = _Phases()
+        phases = _Phases(*_SEAL_PHASES)
         with _atomic_output(output_path, phases) as out:
             if mode is CipherMode.CHUNKED_CTR and size and out.seekable():
                 output_len, digest = _stream_container(source, size, input_path, out, key,
@@ -295,70 +245,13 @@ def seal_file(
                 finally:
                     _wipe(model)
                 size, output_len = len(model), len(head) + len(body)
-    report = phases.report(size, output_len, mode, digest)
+    report = SealReport(size, output_len, mode, plaintext_digest=digest, **phases)
 
     if write_manifest:
         manifest = json.dumps(report.manifest(), indent=2) + "\n"
         with _atomic_output(Path(f"{output_path}.manifest.json")) as out:
             out.write(manifest.encode())
     return report
-
-
-@contextlib.contextmanager
-def _reading(path: Path):
-    """Raise an OSError from reading ``path`` as IoError."""
-    try:
-        yield
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc.strerror or exc}", path=str(path)) from exc
-
-
-def _changed_error(path: Path, action: str) -> IoError:
-    return IoError(f"file {path} changed while it was being {action}", path=str(path))
-
-
-def _read_exactly(source, buf, path: Path, action: str) -> None:
-    """Fill ``buf`` from ``source``; IoError if ``path`` ends first, as when it shrank."""
-    with memoryview(buf) as view, _reading(path):
-        filled = 0
-        while filled < len(view):
-            n = source.readinto(view[filled:])
-            if not n:
-                raise _changed_error(path, action)
-            filled += n
-
-
-def _check_ended(source, path: Path, action: str) -> None:
-    """IoError unless ``source`` is at its end, as it is not when ``path`` grew."""
-    with _reading(path):
-        if source.read(1):
-            raise _changed_error(path, action)
-
-
-def _read_whole(source, buf, path: Path):
-    """Read all of ``source``, of unknown size, into ``buf`` and return the model.
-
-    ``buf``, from ``_growing_buffer``, is the caller's: it allocates it and
-    wipes it, also when this raises. It is grown whenever it is full, by
-    an eighth and at least a pipe's worth, read into straight until the
-    input ends, and cut to what was read. An empty input returns an empty
-    ``bytearray`` instead, as a buffer cannot be cut to nothing; nothing
-    was read into ``buf`` then.
-    """
-    filled = 0
-    with _reading(path):
-        while True:
-            if filled == len(buf):
-                buf.resize(filled + max(_PIPE_READ, filled >> 3))  # no view is held across it
-            with memoryview(buf) as view, view[filled:] as free:
-                n = source.readinto(free)
-            if not n:
-                break
-            filled += n
-        if not filled:
-            return bytearray()
-        buf.resize(filled)
-    return buf
 
 
 def _stream_container(source, size: int, input_path: Path, out, key: KeyMaterial,
@@ -391,89 +284,3 @@ def _stream_container(source, size: int, input_path: Path, out, key: KeyMaterial
     finally:
         _wipe(buf)
     return head_len + size, digest
-
-
-def _hold(path: Path) -> int | None:
-    """An ``O_PATH`` fd on the file at ``path``, keeping its inode alive; None if none.
-
-    It needs no permission on the file itself. Where ``O_PATH`` does not
-    exist, or the open fails, nothing is held.
-    """
-    if not hasattr(os, "O_PATH"):
-        return None
-    try:
-        return os.open(path, os.O_PATH | os.O_NOFOLLOW | os.O_CLOEXEC)
-    except OSError:
-        return None
-
-
-def _release(fd: int) -> None:
-    """Close ``fd`` on a short-lived daemon thread of its own.
-
-    Closing the last reference to an unlinked file frees its blocks, which
-    ext4 with online discard makes the caller wait for; ``os.close``
-    releases the GIL, so that wait overlaps whatever the caller does next.
-    If no thread can be started, ``fd`` is closed here.
-    """
-    try:
-        threading.Thread(target=os.close, args=(fd,), name="modelvault-release",
-                         daemon=True).start()
-    except RuntimeError:
-        os.close(fd)
-
-
-@contextlib.contextmanager
-def _atomic_output(path: Path, phases: _Phases | None = None):
-    """Yield a binary file whose contents end up at ``path``.
-
-    A new or regular ``path`` is written through a temp file beside it,
-    which takes the permission bits of the file it replaces (a new file
-    stays 0600) and is renamed over ``path`` after the block; on any
-    exception, interrupts included, the temp file is removed and ``path``
-    is left as it was. Anything else, such as a FIFO, a device or a
-    symlink, is opened and written through as it stands, since renaming
-    over it would replace the node itself. An OSError is raised as IoError.
-
-    The file a temp file replaces is held open across the rename
-    (``_hold``) and closed on another thread (``_release``), or at once if
-    the rename fails. Everything here but the block is timed into
-    ``phases["commit_ms"]``, if given.
-    """
-    phases = _Phases() if phases is None else phases
-    tmp_name = None
-    try:
-        with phases("commit_ms"):
-            old = None
-            with contextlib.suppress(FileNotFoundError):
-                old = os.lstat(path)
-            if old is not None and not stat.S_ISREG(old.st_mode):
-                handle = open(path, "wb")
-            else:
-                fd, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.",
-                                                suffix=".tmp")
-                handle = os.fdopen(fd, "wb")
-        replacing = tmp_name is not None and old is not None
-        with handle:
-            if replacing:
-                with phases("commit_ms"):
-                    os.chmod(tmp_name, stat.S_IMODE(old.st_mode))
-            yield handle
-            with phases("commit_ms"):
-                handle.close()
-                if tmp_name is not None:
-                    held = _hold(path) if replacing else None
-                    try:
-                        os.replace(tmp_name, path)
-                    except BaseException:
-                        if held is not None:
-                            os.close(held)
-                        raise
-                    if held is not None:
-                        _release(held)
-    except BaseException as exc:
-        if tmp_name is not None:
-            with contextlib.suppress(OSError):
-                os.unlink(tmp_name)
-        if isinstance(exc, OSError):
-            raise IoError(f"cannot write {path}: {exc.strerror or exc}", path=str(path)) from exc
-        raise

@@ -9,7 +9,8 @@ the GIL, so more threads would not help), each into its slice of the
 blob's buffer. From sealed bytes a chunk is decrypted from a view of
 them; from a regular file it is read into its slice and decrypted in
 place; from a FIFO, which is read whole, it is decrypted in place where
-it was read:
+it was read. ``unseal_file`` opens and reads its input through
+``_files``, as the sealer does:
 
 * unseal            - synchronous, on the calling thread
 * unseal_parallel   - the same, for containers only, under an older
@@ -50,18 +51,17 @@ from __future__ import annotations
 import functools
 import mmap
 import os
-import stat
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from ._files import _PIPE_READ, _open_input, _read_exactly, _read_whole, _reading
 from .container import (HEADER_SIZE, ContainerHeader, SealedFormat, chunk_slices, decode,
                         decode_header, detect_format, header_len)
 from .crypto import (CipherMode, KeyMaterial, _ecb_buffer, _ecb_decrypt_into, _growing_buffer,
                      _secret_buffer, _wipe, ctr_crypt, ecb_decrypt, sha256)
 from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
                      ModeError, RangeError)
-from .sealer import _PIPE_READ, _read_exactly, _read_whole, _reading
 
 
 class ModelBlob:
@@ -222,11 +222,7 @@ def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = N
     once, into one ``_growing_buffer``, and decrypted there in place: a container's
     plaintext is the view of its payload, a raw ``.dat``'s the view of its start.
     """
-    with _reading(path):
-        source = open(path, "rb", buffering=0)
-    with source, _reading(path):
-        info = os.fstat(source.fileno())
-        size = info.st_size if stat.S_ISREG(info.st_mode) else 0
+    with _open_input(path) as (source, _, size), _reading(path):
         sealed = None if size else _read_whole(source, _growing_buffer(_PIPE_READ), path)
         head = os.pread(source.fileno(), HEADER_SIZE, 0) if sealed is None else sealed
         size = size or len(sealed)

@@ -43,7 +43,7 @@ class _StubHandler(BaseHTTPRequestHandler):
         self.server.hits.append(self.path)
         if self.path == "/slow":
             time.sleep(1.0)
-        if self.path in ("/cut-chunk", "/stalled-body"):
+        if self.path in ("/cut-chunk", "/cut-sized", "/stalled-body"):
             self.send_cut_short()
             return
         status, headers, body = self.server.routes.get(
@@ -63,13 +63,14 @@ class _StubHandler(BaseHTTPRequestHandler):
             self.end_headers()
             self.wfile.write(b"64\r\n" + b'{"key": "0')
         else:
-            # The rest never arrives. (A sized body whose connection closes
-            # early is read short by http.client, with no error.)
+            # The rest never arrives: the connection closes when this
+            # HTTP/1.0 handler returns, or, for a stalled body, a second later.
             self.send_header("Content-Length", "100")
             self.end_headers()
             self.wfile.write(b'{"key": "0')
             self.wfile.flush()
-            time.sleep(1.0)
+            if self.path == "/stalled-body":
+                time.sleep(1.0)
 
     def log_message(self, *args):
         pass
@@ -199,7 +200,7 @@ class TestFetchKeyResponseValidation:
 
     def test_oversized_body(self, stub):
         _, base = stub
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="key response too large"):
             fetch_key(f"{base}/huge", "t")
 
     def test_redirects_not_followed(self, stub):
@@ -208,7 +209,7 @@ class TestFetchKeyResponseValidation:
             fetch_key(f"{base}/redirect", TOKEN_SENTINEL)
         assert "/ok" not in server.hits  # the Location was never chased
 
-    @pytest.mark.parametrize("path", ["/cut-chunk", "/stalled-body"])
+    @pytest.mark.parametrize("path", ["/cut-chunk", "/cut-sized", "/stalled-body"])
     def test_body_that_fails_to_arrive_is_transport_error(self, stub, path):
         _, base = stub
         with pytest.raises(TransportError, match="cannot reach key service"):

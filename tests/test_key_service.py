@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from modelvault.errors import LengthError, RangeError
 from modelvault.key_service import (KEY_PATH, KeyService, ServiceConfig,
-                                    _Handler, handle_key_request,
+                                    _end_reading, _Handler, handle_key_request,
                                     issue_token, verify_token)
 
 SECRET = b"test-jwt-secret"
@@ -315,6 +315,19 @@ class TestKeyServiceHttp:
                                     method="POST")
         assert status == 405
 
+    @pytest.mark.parametrize("method", ["OPTIONS", "TRACE", "BREW"])
+    def test_every_other_method_gets_the_json_405(self, service, method):
+        conn = http.client.HTTPConnection("127.0.0.1", service.port, timeout=5)
+        try:
+            conn.request(method, KEY_PATH,
+                         headers={"Authorization": f"Bearer {issue_token(SECRET, 60)}"})
+            with conn.getresponse() as response:
+                assert response.status == 405
+                assert response.getheader("Content-Type") == "application/json"
+                assert json.loads(response.read()) == {"error": "method not allowed"}
+        finally:
+            conn.close()
+
     @pytest.mark.parametrize("target,token,answer", [
         (KEY_PATH, NON_ASCII_TOKEN, UNAUTHORIZED),  # sent as Latin-1
         (UNPARSABLE_TARGET, GOLDEN_TOKEN, (404, {"error": "not found"})),
@@ -385,6 +398,13 @@ class TestKeyServiceHttp:
             with socket.create_connection(("127.0.0.1", svc.port), timeout=5) as late:
                 assert late.recv(1) == b""  # ended by the server, nothing sent
 
+    def test_ending_a_closed_socket_is_quiet(self):
+        sock = socket.socket()
+        sock.close()
+        with pytest.raises(OSError):
+            sock.shutdown(socket.SHUT_RD)
+        _end_reading(sock)  # the client has gone already: nothing to wake
+
     def test_idle_client_is_disconnected(self, monkeypatch):
         assert _Handler.timeout is not None and _Handler.timeout > 0
         monkeypatch.setattr(_Handler, "timeout", 0.2)  # keep the test short
@@ -429,3 +449,18 @@ class TestKeptAliveConnections:
         finally:
             conn.close()
             svc.stop()
+
+    def test_request_read_while_closing_is_not_answered(self):
+        # The handler is already waiting on the kept-alive connection when
+        # the server starts closing, and nothing ends its read: the next
+        # request it reads gets no answer.
+        token = issue_token(SECRET, 60)
+        with KeyService(config()) as svc:
+            conn = http.client.HTTPConnection("127.0.0.1", svc.port, timeout=5)
+            try:
+                assert self.get(conn, token)[0] == 200
+                svc._server.closing = True
+                with pytest.raises(ConnectionError):  # RemoteDisconnected is one
+                    self.get(conn, token)
+            finally:
+                conn.close()

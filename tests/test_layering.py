@@ -1,0 +1,82 @@
+"""The package's layering, read from its source with ``ast``.
+
+File I/O lives in ``modelvault._files`` alone: its ``_atomic_output`` is
+the one place that creates a temp file and renames it over an output,
+and its ``_open_input`` the one place that opens a model or an artifact.
+No module reaches into the private names of ``sealer`` or ``unsealer``,
+so unsealing does not depend on the seal loop.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import modelvault
+
+PACKAGE = Path(modelvault.__file__).parent
+MODULES = sorted(PACKAGE.glob("*.py"))
+# (module, function) pairs that only _files may call.
+FILE_CALLS = {("tempfile", "mkstemp"), ("os", "replace"), ("os", "open"), (None, "open")}
+
+
+def _tree(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _called(tree: ast.Module):
+    """``(module, function)`` of every call of a name or of a module's attribute."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            if isinstance(func, ast.Name):
+                yield None, func.id
+            elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                yield func.value.id, func.attr
+
+
+def _private_imports(tree: ast.Module):
+    """``(module, name)`` of every underscore name imported from sealer or unsealer."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module:
+            module = node.module.rpartition(".")[2]
+            if module in ("sealer", "unsealer") and (node.level or
+                                                    node.module.startswith("modelvault.")):
+                yield from ((module, alias.name) for alias in node.names
+                            if alias.name.startswith("_"))
+
+
+def test_the_package_is_found():
+    names = {path.stem for path in MODULES}
+    assert {"_files", "sealer", "unsealer", "cli", "bench"} <= names
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda path: path.stem)
+def test_no_module_imports_private_names_of_sealer_or_unsealer(path):
+    assert list(_private_imports(_tree(path))) == []
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "_files"],
+                         ids=lambda path: path.stem)
+def test_only_files_opens_creates_or_renames(path):
+    assert set(_called(_tree(path))) & FILE_CALLS == set()
+
+
+def test_files_holds_the_calls_it_is_checked_for():
+    # A check that finds nothing anywhere would pass on any source.
+    assert set(_called(_tree(PACKAGE / "_files.py"))) >= FILE_CALLS
+
+
+def test_the_checks_catch_what_they_look_for():
+    tree = ast.parse("from .sealer import _atomic_output, seal\n"
+                     "from modelvault.unsealer import _read_whole\n"
+                     "from .crypto import _wipe\n"
+                     "fd, name = tempfile.mkstemp()\n"
+                     "os.replace(name, 'x')\n"
+                     "open('x', 'rb')\n")
+    assert list(_private_imports(tree)) == [("sealer", "_atomic_output"),
+                                           ("unsealer", "_read_whole")]
+    assert set(_called(tree)) & FILE_CALLS == {("tempfile", "mkstemp"), ("os", "replace"),
+                                               (None, "open")}

@@ -16,6 +16,7 @@ import types
 import pytest
 
 import aes_reference as ref
+import modelvault._files as files_mod
 import modelvault.crypto as crypto_mod
 import modelvault.sealer as sealer_mod
 from modelvault.container import (DEFAULT_CHUNK_SIZE, HEADER_SIZE, SealedFormat,
@@ -517,7 +518,7 @@ class TestSealFileStreaming:
     def test_unsized_input_is_read_into_the_buffer_itself(self, tmp_path):
         # Only readinto can fill the buffer: a read(n) of more than the
         # one-byte end probe would return plaintext in a bytes of its own.
-        model = random.Random(3).randbytes(3 * sealer_mod._PIPE_READ + 1234)
+        model = random.Random(3).randbytes(3 * files_mod._PIPE_READ + 1234)
 
         class IntoOnly:
             def __init__(self, data):
@@ -534,16 +535,16 @@ class TestSealFileStreaming:
                 return self.stream.readinto(view[:5000])  # short, like a pipe
 
         source = IntoOnly(model)
-        given = crypto_mod._growing_buffer(sealer_mod._PIPE_READ)
-        buf = sealer_mod._read_whole(source, given, tmp_path / "model.pipe")
+        given = crypto_mod._growing_buffer(files_mod._PIPE_READ)
+        buf = files_mod._read_whole(source, given, tmp_path / "model.pipe")
         assert buf is given and buf[:] == model
         assert source.targets == {id(buf)}
 
     def test_empty_unsized_input_reads_nothing_into_the_buffer(self, tmp_path):
-        given = crypto_mod._growing_buffer(sealer_mod._PIPE_READ)
-        buf = sealer_mod._read_whole(io.BytesIO(), given, tmp_path / "model.pipe")
+        given = crypto_mod._growing_buffer(files_mod._PIPE_READ)
+        buf = files_mod._read_whole(io.BytesIO(), given, tmp_path / "model.pipe")
         assert type(buf) is bytearray and buf == b""
-        assert memoryview(given) == bytes(sealer_mod._PIPE_READ)
+        assert memoryview(given) == bytes(files_mod._PIPE_READ)
 
     def test_size_reading_zero_is_read_whole(self, tmp_path, fips_key, fixed_nonce,
                                              monkeypatch):
@@ -707,7 +708,7 @@ class TestSealFileOutputs:
             # Opening the FIFO for writing would block with no reader.
             raise AssertionError(f"{path} was opened before the output was refused")
 
-        monkeypatch.setattr(sealer_mod, "open", no_open, raising=False)
+        monkeypatch.setattr(files_mod, "open", no_open, raising=False)
         with pytest.raises(IoError, match="manifest") as info:
             seal_file(src, out, fips_key, chunk_size=4096)
         assert info.value.path == str(out)
@@ -719,6 +720,9 @@ class TestSealFileOutputs:
             assert os.read(fd, 1) == b""
         finally:
             os.close(fd)
+        # The fake is in effect: a seal that passes the check opens through it.
+        with pytest.raises(AssertionError, match="was opened"):
+            seal_file(src, tmp_path / "other.mvc", fips_key, write_manifest=False)
 
     @pytest.mark.parametrize("mode", list(CipherMode))
     def test_symlink_output_writes_its_target(self, tmp_path, fips_key, mode):
@@ -795,13 +799,13 @@ def _settled_fds():
 def _record_releases(monkeypatch):
     """Wrap ``_release``; returns, per call, the fd's stat as the release got it."""
     released = []
-    real_release = sealer_mod._release
+    real_release = files_mod._release
 
     def recording(fd):
         released.append(os.fstat(fd))
         real_release(fd)
 
-    monkeypatch.setattr(sealer_mod, "_release", recording)
+    monkeypatch.setattr(files_mod, "_release", recording)
     return released
 
 
@@ -954,7 +958,7 @@ class TestCommitCrashPoints:
                                                    step):
         src, out = paths
         if step == "mkstemp":
-            monkeypatch.setattr(sealer_mod.tempfile, "mkstemp", self._raise)
+            monkeypatch.setattr(files_mod.tempfile, "mkstemp", self._raise)
         elif step == "chmod":
             monkeypatch.setattr(os, "chmod", self._raise)
         elif step == "write":

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modelvault._files as files_mod
 import modelvault.crypto as crypto_mod
 import modelvault.unsealer as unsealer_mod
 from modelvault.container import HEADER_SIZE, MAGIC, SealedFormat, decode
@@ -588,12 +589,13 @@ def _write(tmp_path, data):
 
 
 def counting_reads(monkeypatch):
-    """Record the bytes unseal_file reads; returns (file reads, pread counts).
+    """Record the bytes unseal_file reads; returns (file reads, pread counts, opened paths).
 
     The file reads are every ``readinto`` and ``readall`` on the file that
     unseal_file opens; the pread counts are its positioned header reads.
+    The opened paths show that the file was opened through the fake.
     """
-    reads, preads = [], []
+    reads, preads, opened = [], [], []
     real_pread = os.pread
 
     class CountingFile(io.FileIO):
@@ -612,10 +614,13 @@ def counting_reads(monkeypatch):
         preads.append(len(data))
         return data
 
-    monkeypatch.setattr(unsealer_mod, "open", lambda path, mode, buffering: CountingFile(path),
-                        raising=False)
+    def counting_open(path, mode, buffering):
+        opened.append(path)
+        return CountingFile(path)
+
+    monkeypatch.setattr(files_mod, "open", counting_open, raising=False)
     monkeypatch.setattr(os, "pread", counting_pread)
-    return reads, preads
+    return reads, preads, opened
 
 
 class TestUnsealFile:
@@ -662,10 +667,11 @@ class TestUnsealFile:
 
     def test_raw_dat_is_decrypted_in_the_buffer_it_is_read_into(self, raw_bytes, fips_key,
                                                                  tmp_path, monkeypatch):
-        reads, preads = counting_reads(monkeypatch)
-        blob = unseal_file(_write(tmp_path, raw_bytes), fips_key)
+        reads, preads, opened = counting_reads(monkeypatch)
+        path = _write(tmp_path, raw_bytes)
+        blob = unseal_file(path, fips_key)
         assert blob.to_bytes() == MODEL
-        assert sum(reads) == len(raw_bytes) and preads == [HEADER_SIZE]
+        assert sum(reads) == len(raw_bytes) and preads == [HEADER_SIZE] and opened == [path]
         buf = blob.data.obj
         assert type(buf) is bytearray and len(buf) == len(raw_bytes) + 15
         blob.release()
@@ -705,7 +711,7 @@ class TestUnsealFile:
                                                                  monkeypatch, declared):
         path = _write(tmp_path, b"not a container")
         os.truncate(path, 8 * 1024 * 1024 + 1)  # sparse: 8 MiB and one byte
-        reads, _ = counting_reads(monkeypatch)
+        reads, _, opened = counting_reads(monkeypatch)
         tracemalloc.start()
         try:
             with pytest.raises(LengthError):
@@ -713,7 +719,7 @@ class TestUnsealFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert reads == []
+        assert reads == [] and opened == [path]
         assert peak < 1024 * 1024
 
     def test_raw_dat_wrong_key_fails_padding_and_wipes(self, raw_bytes, other_key, tmp_path,
@@ -736,11 +742,11 @@ class TestUnsealFile:
         path = _write(tmp_path, raw_bytes)
         with pytest.raises(ModeError) as from_bytes:
             unseal(raw_bytes, fips_key, SealedFormat.CONTAINER)
-        reads, preads = counting_reads(monkeypatch)
+        reads, preads, opened = counting_reads(monkeypatch)
         with pytest.raises(ModeError) as from_file:
             unseal_file(path, fips_key, SealedFormat.CONTAINER)
         assert str(from_file.value) == str(from_bytes.value)
-        assert reads == [] and preads == [HEADER_SIZE]
+        assert reads == [] and preads == [HEADER_SIZE] and opened == [path]
 
     def test_empty_container(self, fips_key, tmp_path):
         sealed, _ = seal(b"", fips_key)
