@@ -33,7 +33,8 @@ unsealer both walk it, and ``decode`` rejects a stored count or table that
 differs from it. ``encode_header`` packs and ``decode`` parses only what
 precedes the payload; the payload is streamed chunk by chunk around them.
 ``decode_header`` makes ``decode``'s checks of the fixed 72 bytes alone,
-so a file reader trusts the stored chunk count before it reads the table.
+so a file reader refuses a bad header (or, with the fingerprint, a wrong
+key) before it reads or allocates anything else.
 The mode byte keeps a slot for the raw layout, but a raw seal is by
 definition headerless, so a v1 container always says CHUNKED_CTR.
 """
@@ -173,8 +174,8 @@ def decode_header(head, size: int) -> ContainerHeader:
 
     ``head`` holds its first ``min(size, HEADER_SIZE)`` bytes or more. It
     makes every check of ``decode`` that needs no chunk table, in the same
-    order, so the stored chunk_count is known to be the implied one and its
-    table to fit in ``size`` before anyone reads the table.
+    order, so a file reader can refuse a bad header before it reads or
+    allocates the rest of the container.
     """
     if size < HEADER_SIZE:
         raise TruncationError(f"header needs {HEADER_SIZE} bytes, got {size}")

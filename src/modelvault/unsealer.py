@@ -2,15 +2,14 @@
 
 Nothing in this module writes to storage; the decrypted model only ever
 exists as an in-process buffer that the caller can hand to an ML runtime
-and explicitly wipe afterwards. Every container unseal runs one chunk
-loop, ``_unseal_chunks``, the mirror of the sealer's ``_seal_chunks``,
-which decrypts the chunks in order on the thread that runs it (AES holds
-the GIL, so more threads would not help), each into its slice of the
-blob's buffer. From sealed bytes a chunk is decrypted from a view of
-them; from a regular file it is read into its slice and decrypted in
-place; from a FIFO, which is read whole, it is decrypted in place where
-it was read. ``unseal_file`` opens and reads its input through
-``_files``, as the sealer does:
+and explicitly wipe afterwards. One read, one decrypt path: every
+container unseal runs ``_unseal_container``, the mirror of the sealer's
+``_seal_chunks``, which decodes the container, checks the key, and
+decrypts the chunks in order on the thread that runs it (AES holds the
+GIL, so more threads would not help), each from its slice of the payload.
+From sealed bytes it decrypts into a fresh buffer; ``unseal_file`` reads
+its input whole, once, through ``_files``, and has it decrypted in place
+in the buffer it was read into:
 
 * unseal            - synchronous, on the calling thread
 * unseal_parallel   - the same, for containers only, under an older
@@ -21,7 +20,8 @@ it was read. ``unseal_file`` opens and reads its input through
 * unseal_file       - from a path, holding the sealed file only once
 
 Container payloads are checked twice: the key fingerprint before any
-ciphertext is touched (wrong key fails fast, without decrypting), and the
+ciphertext is touched (wrong key fails fast, without decrypting, and from
+a regular file before anything past the header is read), and the
 plaintext digest after assembly (corruption fails loud). The raw ``.dat``
 layout has no metadata, so there a wrong key only surfaces as a padding
 failure, exactly like the pipeline it is byte-compatible with, and
@@ -32,18 +32,20 @@ container and the raw path the plaintext is decrypted straight into that
 buffer, and to_bytes() is the only copy, which is the caller's to
 manage. Treat the wipe as hygiene, not as a hard memory guarantee.
 
-Where a plaintext lives: a container's plaintext of 2 MiB or more gets a
-private anonymous mapping of its own from ``crypto._secret_buffer``,
-backed by huge pages where the kernel allows. It is wiped in place by
-release(), unmapped when the blob and every view of it are collected, and
-counted by tracemalloc like heap memory. A smaller one, and every raw
-``.dat`` plaintext from bytes or a regular file, lives in a ``bytearray``
-on the heap. An artifact that ``unseal_file`` reads from a FIFO or another
-unsized input, whatever its size, is decrypted in the buffer it was read
-into, from ``crypto._growing_buffer`` (on Linux a mapping, grown without
-a copy), and its plaintext is the view of the payload behind the header,
-or of a raw ``.dat``'s start. No dump, swap or lock property is claimed
-for any of them.
+Where a plaintext lives: a container's plaintext of 2 MiB or more that
+is decrypted from sealed bytes gets a private anonymous mapping of its own
+from ``crypto._secret_buffer``, backed by huge pages where the kernel
+allows. It is wiped in place by release(), unmapped when the blob and
+every view of it are collected, and counted by tracemalloc like heap
+memory. A smaller one, and every raw ``.dat`` plaintext from bytes, lives
+in a ``bytearray`` on the heap. An artifact that ``unseal_file`` reads is
+decrypted in the buffer it was read into, and its plaintext is the view of
+the payload behind the header, or of a raw ``.dat``'s start: from a
+regular file, a container is read into a ``_secret_buffer`` of the file's
+size and a raw ``.dat`` into a ``bytearray``; from a FIFO or another
+unsized input, either is read into a ``crypto._growing_buffer`` (on Linux
+a mapping, grown without a copy). No dump, swap or lock property is
+claimed for any of them.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from ._files import _PIPE_READ, _open_input, _read_exactly, _read_whole, _reading
+from ._files import (_PIPE_READ, _changed_error, _check_ended, _open_input, _read_exactly,
+                     _read_whole, _reading)
 from .container import (HEADER_SIZE, ContainerHeader, SealedFormat, chunk_slices, decode,
-                        decode_header, detect_format, header_len)
+                        decode_header, detect_format)
 from .crypto import (CipherMode, KeyMaterial, _ecb_buffer, _ecb_decrypt_into, _growing_buffer,
                      _secret_buffer, _wipe, ctr_crypt, ecb_decrypt, sha256)
 from .errors import (CancelledError, DigestError, KeyMismatchError, ModelVaultError,
@@ -68,11 +71,12 @@ class ModelBlob:
     """Decrypted model bytes held in memory, plus their SHA-256 digest.
 
     The digest check stands in for "the model loads": feed ``data`` to
-    your interpreter, then call release() to zero the buffer. The buffer is
-    a ``bytearray`` (a raw plaintext is a view of the start of one), a
-    mapping of its own for a container plaintext of 2 MiB or more (see
-    ``crypto._secret_buffer``), or, read from a FIFO, a view of the buffer
-    it was read into; release() zeroes every plaintext byte in place.
+    your interpreter, then call release() to zero the buffer. From sealed
+    bytes the buffer is a ``bytearray`` (a raw plaintext is a view of the
+    start of one) or, for a container plaintext of 2 MiB or more, a mapping
+    of its own (see ``crypto._secret_buffer``). From ``unseal_file``, one
+    read and one decrypt path, it is a view of the buffer the artifact was
+    read into. release() zeroes every plaintext byte in place.
     """
 
     def __init__(self, buf: bytearray | mmap.mmap | memoryview, source_mode: CipherMode):
@@ -136,29 +140,35 @@ def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memor
     ctr_crypt(ciphertext, key, nonce, index, out=out)
 
 
-def _unseal_chunks(header: ContainerHeader, key: KeyMaterial, next_chunk,
-                   on_chunk: ProgressSink | None = None, cancelled=None,
-                   buf=None) -> ModelBlob:
-    """Check the key fingerprint, then decrypt each chunk into the blob buffer.
-
-    The blob buffer is ``buf``, if given, a writable buffer of the
-    plaintext's length; otherwise a fresh one from ``_secret_buffer``.
-    ``next_chunk(span, out)`` returns the ciphertext of the chunk whose
-    slice of the buffer is ``out``; it may fill ``out``, or find it already
-    filled, and return it. Each chunk polls ``cancelled`` and reports to
-    ``on_chunk``; the digest is checked last, and the buffer is wiped on
-    any failure.
-    """
+def _keyed_header(head, size: int, key: KeyMaterial, parse) -> ContainerHeader:
+    """``parse(head, size)`` of a container, refused unless it was sealed under ``key``."""
+    if detect_format(head) is not SealedFormat.CONTAINER:
+        raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
+    header = parse(head, size)
     if header.key_fingerprint != key.fingerprint:
         raise KeyMismatchError(
             f"container was sealed under key {header.key_fingerprint.hex()}, "
             f"got {key.fingerprint.hex()}"
         )
-    buf = _secret_buffer(header.plaintext_len) if buf is None else buf
+    return header
+
+
+def _unseal_container(sealed, key: KeyMaterial, in_place: bool = False,
+                      on_chunk: ProgressSink | None = None, cancelled=None) -> ModelBlob:
+    """Decode the container ``sealed``, check the key, then decrypt its chunks in order.
+
+    The blob buffer is a fresh one from ``_secret_buffer``, or, ``in_place``,
+    the payload of ``sealed`` itself, which its owner then gives up. Each
+    chunk polls ``cancelled`` and reports to ``on_chunk``; the digest is
+    checked last, and the buffer is wiped on any failure.
+    """
+    header = _keyed_header(sealed, len(sealed), key, decode)
+    payload = memoryview(sealed)[len(sealed) - header.plaintext_len:]
+    buf = payload if in_place else _secret_buffer(header.plaintext_len)
     view = memoryview(buf)
     try:
         for index, span in enumerate(chunk_slices(header.plaintext_len, header.chunk_size)):
-            _decrypt_chunk(key, header.file_nonce, index, next_chunk(span, view[span]), view[span])
+            _decrypt_chunk(key, header.file_nonce, index, payload[span], view[span])
             if cancelled is not None and cancelled():
                 raise CancelledError("cancelled while decrypting")
             if on_chunk is not None:
@@ -170,23 +180,6 @@ def _unseal_chunks(header: ContainerHeader, key: KeyMaterial, next_chunk,
         _wipe(buf)
         raise
     return blob
-
-
-def _require_container(head) -> None:
-    if detect_format(head) is not SealedFormat.CONTAINER:
-        raise ModeError("not a sealed container; unseal a raw .dat in the raw format")
-
-
-def _decode_container(sealed) -> tuple[ContainerHeader, memoryview]:
-    """The header of the container ``sealed``, and a view of its payload."""
-    _require_container(sealed)
-    header = decode(sealed, len(sealed))
-    return header, memoryview(sealed)[len(sealed) - header.plaintext_len:]
-
-
-def _unseal_container(sealed, key: KeyMaterial, on_chunk=None, cancelled=None) -> ModelBlob:
-    header, payload = _decode_container(sealed)
-    return _unseal_chunks(header, key, lambda span, out: payload[span], on_chunk, cancelled)
 
 
 def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> ModelBlob:
@@ -216,33 +209,32 @@ def unseal_parallel(sealed: bytes, key: KeyMaterial, workers: int | None = None)
 def unseal_file(path, key: KeyMaterial, declared_format: SealedFormat | None = None) -> ModelBlob:
     """Decrypt the sealed artifact at ``path`` in memory; None detects the format.
 
-    In a regular file a container is read chunk by chunk, and a raw ``.dat``
-    whole, into the buffer it is decrypted in, every read bounded by the file's
-    size (IoError if it shrinks). Anything else, such as a FIFO, is read whole,
-    once, into one ``_growing_buffer``, and decrypted there in place: a container's
-    plaintext is the view of its payload, a raw ``.dat``'s the view of its start.
+    One read, one decrypt path. A regular file is refused on its 72-byte
+    header alone if its format, header or key is wrong; otherwise it is read
+    whole, with one read bounded by its size (IoError if it shrinks or
+    grows meanwhile). Anything else, such as a FIFO, is read whole into one
+    ``_growing_buffer``. Either way the artifact is decrypted in place in the
+    buffer it was read into: a container's plaintext is the view of its
+    payload, a raw ``.dat``'s the view of its start.
     """
     with _open_input(path) as (source, _, size), _reading(path):
         sealed = None if size else _read_whole(source, _growing_buffer(_PIPE_READ), path)
-        head = os.pread(source.fileno(), HEADER_SIZE, 0) if sealed is None else sealed
-        size = size or len(sealed)
-
-        def read(buf):
-            _read_exactly(source, buf, path, "unsealed")
-            return buf
-
-        if (declared_format or detect_format(head)) is not SealedFormat.RAW_DAT:
-            if sealed is not None:
-                header, payload = _decode_container(sealed)
-                return _unseal_chunks(header, key, lambda span, out: out, buf=payload)
-            _require_container(head)
-            head = read(bytearray(min(size, HEADER_SIZE)))
-            head += read(bytearray(header_len(decode_header(head, size).chunk_count) - len(head)))
-            return _unseal_chunks(decode(head, size), key, lambda span, out: read(out))
-        buf = _ecb_buffer(size, sealed)
-        if sealed is None:
-            read(memoryview(buf)[:size])
-    plaintext = _ecb_decrypt_into(memoryview(buf)[:size], buf, key)
+        head = os.pread(source.fileno(), HEADER_SIZE, 0) if size else sealed
+        raw = (declared_format or detect_format(head)) is SealedFormat.RAW_DAT
+        if size:
+            if len(head) < min(size, HEADER_SIZE):  # it shrank since it was opened
+                raise _changed_error(path, "unsealed")
+            if not raw:
+                _keyed_header(head, size, key, decode_header)
+            sealed = _ecb_buffer(size) if raw else _secret_buffer(size)
+            _read_exactly(source, memoryview(sealed)[:size], path, "unsealed")
+            _check_ended(source, path, "unsealed")
+        elif raw:
+            size = len(sealed)
+            sealed = _ecb_buffer(size, sealed)
+    if not raw:
+        return _unseal_container(sealed, key, in_place=True)
+    plaintext = _ecb_decrypt_into(memoryview(sealed)[:size], sealed, key)
     return ModelBlob(plaintext, CipherMode.RAW_ECB_PKCS7)
 
 
@@ -308,8 +300,8 @@ def unseal_background(
         try:
             if handle._cancel_requested.is_set():
                 raise CancelledError("cancelled before decryption started")
-            blob = _unseal_container(sealed, key, on_progress,
-                                     handle._cancel_requested.is_set)
+            blob = _unseal_container(sealed, key, on_chunk=on_progress,
+                                     cancelled=handle._cancel_requested.is_set)
             state = "done"
         except CancelledError as exc:
             state, error = "cancelled", exc

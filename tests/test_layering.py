@@ -4,7 +4,9 @@ File I/O lives in ``modelvault._files`` alone: its ``_atomic_output`` is
 the one place that creates a temp file and renames it over an output,
 and its ``_open_input`` the one place that opens a model or an artifact.
 No module reaches into the private names of ``sealer`` or ``unsealer``,
-so unsealing does not depend on the seal loop.
+so unsealing does not depend on the seal loop. No module but
+``__init__``, which re-exports, imports a name it never uses, so a
+helper that a refactor retires does not linger in an import list.
 """
 
 from __future__ import annotations
@@ -48,6 +50,19 @@ def _private_imports(tree: ast.Module):
                             if alias.name.startswith("_"))
 
 
+def _unused_imports(tree: ast.Module) -> list[str]:
+    """Every name that ``tree`` imports and never reads, ``__future__`` features aside."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported += [alias.asname or alias.name.partition(".")[0] for alias in node.names
+                         if alias.name != "*"]
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in read]
+
+
 def test_the_package_is_found():
     names = {path.stem for path in MODULES}
     assert {"_files", "sealer", "unsealer", "cli", "bench"} <= names
@@ -62,6 +77,12 @@ def test_no_module_imports_private_names_of_sealer_or_unsealer(path):
                          ids=lambda path: path.stem)
 def test_only_files_opens_creates_or_renames(path):
     assert set(_called(_tree(path))) & FILE_CALLS == set()
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
+                         ids=lambda path: path.stem)
+def test_no_module_imports_a_name_it_never_uses(path):
+    assert _unused_imports(_tree(path)) == []
 
 
 def test_files_holds_the_calls_it_is_checked_for():
@@ -80,3 +101,13 @@ def test_the_checks_catch_what_they_look_for():
                                            ("unsealer", "_read_whole")]
     assert set(_called(tree)) & FILE_CALLS == {("tempfile", "mkstemp"), ("os", "replace"),
                                                (None, "open")}
+
+
+def test_the_unused_import_check_sees_every_kind_of_use():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "import os.path, struct as st, zlib\n"
+                     "from .container import HEADER_SIZE, decode, header_len\n"
+                     "from .crypto import *\n"
+                     "def f(head: HEADER_SIZE) -> None:\n"
+                     "    return decode(head, os.path.getsize(st))\n")
+    assert _unused_imports(tree) == ["zlib", "header_len"]

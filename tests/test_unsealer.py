@@ -588,6 +588,19 @@ def _write(tmp_path, data):
     return path
 
 
+def _unseal_fifo(tmp_path, data, key, declared=None):
+    """unseal_file of a FIFO that a writer thread fills with ``data``."""
+    fifo = tmp_path / "sealed.pipe"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_bytes, args=(data,), daemon=True)
+    writer.start()
+    try:
+        return unseal_file(fifo, key, declared)
+    finally:
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+
+
 def counting_reads(monkeypatch):
     """Record the bytes unseal_file reads; returns (file reads, pread counts, opened paths).
 
@@ -624,7 +637,10 @@ def counting_reads(monkeypatch):
 
 
 class TestUnsealFile:
-    @pytest.mark.parametrize("reader", ["bytes", "file"])
+    @pytest.mark.parametrize("reader", [
+        "bytes", "file",
+        pytest.param("fifo", marks=pytest.mark.skipif(not hasattr(os, "mkfifo"),
+                                                      reason="needs named pipes"))])
     @pytest.mark.parametrize("damage", sorted(DAMAGE))
     def test_damage_raises_the_same_error_from_bytes_and_file(self, damage, reader,
                                                                tmp_path):
@@ -633,8 +649,10 @@ class TestUnsealFile:
         with pytest.raises(error):
             if reader == "bytes":
                 unseal(data, FUZZ_KEY, SealedFormat.CONTAINER)
-            else:
+            elif reader == "file":
                 unseal_file(_write(tmp_path, data), FUZZ_KEY, SealedFormat.CONTAINER)
+            else:
+                _unseal_fifo(tmp_path, data, FUZZ_KEY, SealedFormat.CONTAINER)
 
     def test_a_damaged_count_reads_only_the_header(self, tmp_path, monkeypatch):
         mutate, error = DAMAGE["huge-claimed-count"]
@@ -647,9 +665,10 @@ class TestUnsealFile:
             return real(source, buf, *args)
 
         monkeypatch.setattr(unsealer_mod, "_read_exactly", counting_read)
+        _, preads, _ = counting_reads(monkeypatch)
         with pytest.raises(error):
             unseal_file(path, FUZZ_KEY, SealedFormat.CONTAINER)
-        assert read == [HEADER_SIZE]
+        assert read == [] and preads == [HEADER_SIZE]
 
     @pytest.mark.parametrize("declared", [None, SealedFormat.CONTAINER])
     def test_container_round_trip(self, container_bytes, fips_key, tmp_path, declared,
@@ -884,31 +903,74 @@ class TestUnsealFile:
         writer.join(timeout=10)
         assert not writer.is_alive()
 
-    def test_wrong_key_allocates_no_buffer(self, container_bytes, other_key, tmp_path,
+    def test_wrong_key_allocates_no_buffer(self, fips_key, other_key, tmp_path,
                                            monkeypatch):
+        size = 8 * 1024 * 1024
+        sealed, _ = seal(bytes(size), fips_key)
+        path = _write(tmp_path, sealed)
+        del sealed
         calls = counting_decrypt(monkeypatch)
-        with pytest.raises(KeyMismatchError):
-            unseal_file(_write(tmp_path, container_bytes), other_key)
-        assert calls == []
+        reads, preads, opened = counting_reads(monkeypatch)
+        tracemalloc.start()
+        try:
+            with pytest.raises(KeyMismatchError):
+                unseal_file(path, other_key)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert calls == [] and reads == [] and preads == [HEADER_SIZE] and opened == [path]
+        assert peak < 1024 * 1024
 
-    def test_file_that_shrinks_midway_raises_and_wipes(self, container_bytes, fips_key,
-                                                       tmp_path, monkeypatch):
+    def test_file_that_shrinks_midway_raises(self, container_bytes, fips_key, tmp_path,
+                                             monkeypatch):
         path = _write(tmp_path, container_bytes)
-        buffers = []
-        real = unsealer_mod._decrypt_chunk
+        calls = counting_decrypt(monkeypatch)
+        real = unsealer_mod._read_exactly
 
-        def decrypt_then_truncate(key, nonce, index, ciphertext, out):
-            if not buffers:
-                buffers.append(out.obj)
-                with open(path, "r+b") as handle:
-                    handle.truncate(len(container_bytes) - 100)
-            return real(key, nonce, index, ciphertext, out)
+        def truncate_then_read(source, buf, *args):
+            with open(path, "r+b") as handle:
+                handle.truncate(len(container_bytes) - 100)
+            return real(source, buf, *args)
 
-        monkeypatch.setattr(unsealer_mod, "_decrypt_chunk", decrypt_then_truncate)
+        monkeypatch.setattr(unsealer_mod, "_read_exactly", truncate_then_read)
         with pytest.raises(IoError, match="changed while it was being unsealed") as info:
             unseal_file(path, fips_key)
         assert info.value.path == str(path)
-        assert buffers[0] == bytearray(len(MODEL))  # the blob buffer is wiped
+        assert calls == []  # refused before any plaintext exists
+
+    @pytest.mark.parametrize("fmt", ["container", "raw"])
+    def test_file_that_grows_midway_raises(self, container_bytes, raw_bytes, fips_key,
+                                           tmp_path, monkeypatch, fmt):
+        # At rest, the same bytes plus 16 would raise InvariantError or PaddingError.
+        path = _write(tmp_path, container_bytes if fmt == "container" else raw_bytes)
+        calls = counting_decrypt(monkeypatch)
+        real = unsealer_mod._read_exactly
+
+        def append_then_read(source, buf, *args):
+            with open(path, "ab") as handle:
+                handle.write(bytes(16))
+            return real(source, buf, *args)
+
+        monkeypatch.setattr(unsealer_mod, "_read_exactly", append_then_read)
+        with pytest.raises(IoError, match="changed while it was being unsealed") as info:
+            unseal_file(path, fips_key)
+        assert info.value.path == str(path)
+        assert calls == []
+
+    def test_file_that_shrinks_before_its_header_is_read_raises(self, container_bytes,
+                                                                fips_key, tmp_path,
+                                                                monkeypatch):
+        path = _write(tmp_path, container_bytes)
+        real_pread = os.pread
+
+        def truncate_then_pread(fd, n, offset):
+            os.truncate(path, 10)
+            return real_pread(fd, n, offset)
+
+        monkeypatch.setattr(os, "pread", truncate_then_pread)
+        with pytest.raises(IoError, match="changed while it was being unsealed") as info:
+            unseal_file(path, fips_key, SealedFormat.CONTAINER)
+        assert info.value.path == str(path)
 
     def test_holds_the_plaintext_once(self, fips_key, tmp_path):
         size = 8 * 1024 * 1024
