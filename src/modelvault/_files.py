@@ -59,16 +59,35 @@ class _Phases(dict):
 
     ``_Phases("hash_ms", "encrypt_ms")`` starts both phases at 0, and
     ``with phases("hash_ms"):`` adds the block's wall time to that phase.
+    Blocks may nest; each adds its own time.
     """
 
     def __init__(self, *names: str):
         super().__init__(dict.fromkeys(names, 0.0))
 
-    @contextlib.contextmanager
-    def __call__(self, name: str):
-        start = _now_ms()
-        yield
-        self[name] += _now_ms() - start
+    def __call__(self, name: str) -> "_Timed":
+        return _Timed(self, name)
+
+
+class _Timed:
+    """One timed block of a ``_Phases``.
+
+    A plain class rather than a generator context manager, which costs
+    about twice as much per block: a streamed seal times several blocks
+    per 256 KiB of the model.
+    """
+
+    __slots__ = ("phases", "name", "start")
+
+    def __init__(self, phases: _Phases, name: str):
+        self.phases = phases
+        self.name = name
+
+    def __enter__(self) -> None:
+        self.start = _now_ms()
+
+    def __exit__(self, *exc) -> None:
+        self.phases[self.name] += _now_ms() - self.start
 
 
 @contextlib.contextmanager

@@ -4,7 +4,8 @@ Two cipher modes are offered. RAW_ECB_PKCS7 reproduces the classic
 "encrypt the whole file in one doFinal" pipeline bit for bit: AES-256-ECB
 with PKCS#7 padding and no framing. CHUNKED_CTR is the mode the sealed
 container uses; every chunk gets its own counter stream so each chunk
-decrypts independently of the others.
+decrypts independently of the others, and ``ctr_crypt``'s ``offset``
+lets a chunk be processed in pieces, each from its own 16-byte block.
 
 ECB leaks equal-block patterns and should only be used where byte-level
 compatibility with the raw ``.dat`` layout matters; see the README's
@@ -13,7 +14,9 @@ security notes.
 No function holds hidden randomness or shared state, so all are safe to
 call concurrently; ctr_crypt with ``out`` writes only to that buffer. Each
 ECB function works in one buffer, cut only once it holds ciphertext, so a
-raw seal or unseal holds one copy of the plaintext, which ``_wipe`` zeroes.
+raw seal or unseal holds one copy of the plaintext, which ``_wipe`` zeroes;
+``_ecb_encrypt_into`` and ``_ecb_decrypt_into`` work in a buffer the
+caller read the input into.
 
 ``_secret_buffer`` allocates a container's plaintext buffer; from one huge
 page on, it is a mapping of its own, populated in huge pages, so the first
@@ -154,6 +157,8 @@ def decrypt_block(key: KeyMaterial, block: bytes) -> bytes:
 _ZEROS = memoryview(bytes(64 * 1024))
 # ECB update_into wants room for one more (partial) block than it writes.
 _ECB_SLACK = BLOCK_SIZE - 1
+# What a plaintext needs behind it to be padded and encrypted in place.
+_ECB_ROOM = BLOCK_SIZE + _ECB_SLACK
 
 
 # x86-64's PMD page. A smaller buffer cannot get a huge page, and glibc's
@@ -259,18 +264,32 @@ def ecb_encrypt(plaintext: bytes, key: KeyMaterial) -> bytearray:
     padding block is appended when the input is already block-aligned.
     The plaintext is padded and encrypted in place in the returned buffer.
     """
-    n = BLOCK_SIZE - (len(plaintext) % BLOCK_SIZE)
-    padded = len(plaintext) + n
-    buf = bytearray(padded + _ECB_SLACK)
-    enc = Cipher(_aes(key), modes.ECB()).encryptor()
+    size = len(plaintext)
+    buf = bytearray(size - size % BLOCK_SIZE + _ECB_ROOM)
     # Through a memoryview: bytearray slice assignment copies its source.
     with memoryview(buf) as view:
-        view[: len(plaintext)] = plaintext
-        view[len(plaintext) : padded] = bytes([n]) * n
-        enc.update_into(view[:padded], buf)
-    enc.finalize()
+        view[:size] = plaintext
+    with _ecb_encrypt_into(buf, size, key) as sealed:
+        padded = len(sealed)
     del buf[padded:]
     return buf
+
+
+def _ecb_encrypt_into(buf, size: int, key: KeyMaterial) -> memoryview:
+    """ecb_encrypt in place: ``buf`` holds the plaintext in its first ``size`` bytes.
+
+    Behind the plaintext, ``buf`` needs room for the padding and for the
+    slack ``update_into`` wants; ``_ECB_ROOM`` bytes always suffice.
+    Returns a view of the ciphertext at the start of ``buf``.
+    """
+    n = BLOCK_SIZE - size % BLOCK_SIZE
+    padded = size + n
+    enc = Cipher(_aes(key), modes.ECB()).encryptor()
+    with memoryview(buf) as view:
+        view[size:padded] = bytes([n]) * n
+        enc.update_into(view[:padded], buf)
+    enc.finalize()
+    return memoryview(buf)[:padded]
 
 
 def _ecb_buffer(size: int, ciphertext: _HeapBuffer | _TracedMapping | None = None
@@ -315,12 +334,18 @@ def ecb_decrypt(ciphertext: bytes, key: KeyMaterial) -> memoryview:
 
 
 def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int,
-              out: bytearray | memoryview | None = None) -> bytes | None:
+              out: bytearray | memoryview | None = None, *, offset: int = 0) -> bytes | None:
     """XOR ``data`` with the AES-256 counter stream for one chunk.
 
     The counter block is ``file_nonce || chunk_index (4 bytes BE) ||
-    block_counter (4 bytes BE, from 0)``, so each (nonce, index) pair names
-    an independent keystream and the function is its own inverse.
+    block_counter (4 bytes BE)``, so each (nonce, index) pair names an
+    independent keystream and the function is its own inverse.
+
+    ``data`` sits ``offset`` bytes into its chunk, so the block counter
+    starts at ``offset // 16``: a chunk may be processed in pieces, each
+    at its own offset, and gives the same bytes as in one call.
+    ``offset`` must be a non-negative multiple of 16, and ``offset +
+    len(data)`` below 2**36, the end of the 32-bit block counter.
 
     Given ``out``, a writable buffer exactly as long as ``data`` (it may be
     ``data`` itself, to work in place), the result is written there with
@@ -330,11 +355,14 @@ def ctr_crypt(data: bytes, key: KeyMaterial, file_nonce: bytes, chunk_index: int
         raise LengthError(f"file nonce must be {NONCE_BYTES} bytes, got {len(file_nonce)}")
     if not 0 <= chunk_index < _MAX_CHUNK_INDEX:
         raise RangeError(f"chunk index must be below 2**32, got {chunk_index}")
-    if len(data) >= _MAX_CTR_LEN:
-        raise RangeError("chunk data must be below 2**36 bytes")
+    if offset < 0 or offset % BLOCK_SIZE:
+        raise RangeError(f"offset must be a non-negative multiple of {BLOCK_SIZE}, got {offset}")
+    if offset + len(data) >= _MAX_CTR_LEN:
+        raise RangeError("chunk data must end below 2**36 bytes")
     if out is not None and len(out) != len(data):
         raise LengthError(f"output must be {len(data)} bytes, got {len(out)}")
-    counter0 = file_nonce + chunk_index.to_bytes(4, "big") + bytes(4)
+    counter0 = (file_nonce + chunk_index.to_bytes(4, "big")
+                + (offset // BLOCK_SIZE).to_bytes(4, "big"))
     enc = Cipher(_aes(key), modes.CTR(counter0)).encryptor()
     if out is None:
         return enc.update(data) + enc.finalize()

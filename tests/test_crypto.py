@@ -262,12 +262,17 @@ class TestCtr:
         assert ctr_crypt(zeros, fips_key, nonce, 1).hex() == self.KEYSTREAM_IDX1
 
     def test_counter_block_layout(self, fips_key):
-        # The first keystream block is AES(nonce || index_be32 || zero_be32).
+        # The first keystream block is AES(nonce || index_be32 || zero_be32),
+        # and at offset k, AES(nonce || index_be32 || (k / 16)_be32).
         nonce = bytes.fromhex("0011223344556677")
         for index in (0, 1, 7, 2**32 - 1):
             counter0 = nonce + index.to_bytes(4, "big") + bytes(4)
             assert ctr_crypt(bytes(16), fips_key, nonce, index) == \
                 encrypt_block(fips_key, counter0)
+            for offset in (16, 4096, 2**36 - 32):
+                counter = nonce + index.to_bytes(4, "big") + (offset // 16).to_bytes(4, "big")
+                assert ctr_crypt(bytes(16), fips_key, nonce, index, offset=offset) == \
+                    encrypt_block(fips_key, counter)
 
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1000])
     def test_length_preserved(self, fips_key, n):
@@ -321,6 +326,40 @@ class TestCtr:
 
         with pytest.raises(RangeError, match="below 2\\*\\*36"):
             ctr_crypt(Huge(), fips_key, bytes(8), 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(data=st.binary(max_size=600), blocks=st.integers(min_value=0, max_value=40),
+           index=st.integers(min_value=0, max_value=2**32 - 1))
+    def test_a_chunk_in_pieces_matches_it_whole(self, data, blocks, index):
+        # Any 16-byte boundary k splits a chunk's stream: the piece from k
+        # on, encrypted at offset k, is the tail of the whole chunk's stream.
+        key = KeyMaterial(FIPS_KEY_BYTES)
+        nonce = b"\x01\x02\x03\x04\x05\x06\x07\x08"
+        k = min(16 * blocks, len(data) - len(data) % 16)
+        whole = ctr_crypt(data, key, nonce, index)
+        assert ctr_crypt(data[k:], key, nonce, index, offset=k) == whole[k:]
+        out = bytearray(len(data) - k)
+        ctr_crypt(data[k:], key, nonce, index, out=out, offset=k)
+        assert out == whole[k:]
+
+    @pytest.mark.parametrize("offset", [-16, -1, 1, 8, 15, 17, 4097],
+                             ids=lambda offset: f"offset={offset}")
+    def test_offset_must_be_a_non_negative_block_multiple(self, fips_key, offset):
+        with pytest.raises(RangeError, match="multiple of 16"):
+            ctr_crypt(bytes(16), fips_key, bytes(8), 0, offset=offset)
+
+    @pytest.mark.parametrize("offset,n", [(2**36 - 16, 16), (2**36 - 16, 17), (2**36, 0),
+                                          (2**36 - 32, 32), (2**40, 1)])
+    def test_offset_and_data_must_end_below_2_36(self, fips_key, offset, n):
+        class Sized:  # claims n bytes and holds none
+            def __len__(self):
+                return n
+
+        with pytest.raises(RangeError, match="below 2\\*\\*36"):
+            ctr_crypt(Sized(), fips_key, bytes(8), 0, offset=offset)
+
+    def test_data_may_end_just_below_2_36(self, fips_key):
+        assert len(ctr_crypt(bytes(31), fips_key, bytes(8), 0, offset=2**36 - 32)) == 31
 
     @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 1000])
     def test_out_receives_exactly_its_slice(self, fips_key, n):

@@ -28,6 +28,7 @@ from modelvault.unsealer import unseal
 from conftest import FIPS_KEY_BYTES
 
 MODEL = bytes(range(256)) * 40  # 10240 bytes, spans several small chunks
+WINDOW = sealer_mod._SEAL_WINDOW
 
 
 @pytest.fixture
@@ -111,10 +112,10 @@ class TestSealContainer:
         real_ctr_crypt = sealer_mod.ctr_crypt
         seen = []
 
-        def checked(data, key, nonce, index, out=None):
+        def checked(data, key, nonce, index, out=None, **kwargs):
             assert bytes(out) != bytes(data), f"chunk {index} was staged in the artifact"
             seen.append(index)
-            return real_ctr_crypt(data, key, nonce, index, out=out)
+            return real_ctr_crypt(data, key, nonce, index, out=out, **kwargs)
 
         monkeypatch.setattr(sealer_mod, "ctr_crypt", checked)
         sealed, _ = seal(MODEL, fips_key, chunk_size=4096)
@@ -174,6 +175,20 @@ class TestSealReport:
         assert report.storage_ms == report.commit_ms == 0.0
         assert report.encrypt_ms > 0.0
 
+    def test_phases_nest(self):
+        # Each timed block adds its own wall time, inside another block of
+        # its own phase or of another one.
+        phases = files_mod._Phases("outer_ms", "inner_ms")
+        with phases("outer_ms"):
+            with phases("inner_ms"):
+                time.sleep(0.02)
+            with phases("outer_ms"):
+                time.sleep(0.02)
+        assert phases["inner_ms"] >= 20.0
+        # The outer block holds the inner one and the nested outer one,
+        # which also adds its own time.
+        assert phases["outer_ms"] >= phases["inner_ms"] + 2 * 20.0
+
     @pytest.mark.parametrize("mode", list(CipherMode))
     @pytest.mark.parametrize("to_file", [False, True], ids=["seal", "seal_file"])
     def test_hash_time_is_its_own_phase(self, fips_key, monkeypatch, tmp_path,
@@ -216,7 +231,8 @@ class TestSealReport:
             "hash_ms": {(sealer_mod, "hashlib"): types.SimpleNamespace(sha256=SlowSha256),
                         (sealer_mod, "sha256"): slow(sealer_mod.sha256)},
             "encrypt_ms": {(sealer_mod, "ctr_crypt"): slow(sealer_mod.ctr_crypt),
-                           (sealer_mod, "ecb_encrypt"): slow(sealer_mod.ecb_encrypt)},
+                           (sealer_mod, "ecb_encrypt"): slow(sealer_mod.ecb_encrypt),
+                           (sealer_mod, "_ecb_encrypt_into"): slow(sealer_mod._ecb_encrypt_into)},
             "storage_ms": {(os, "fdopen"): lambda fd, mode: SlowWrites(real_fdopen(fd, mode))},
             "commit_ms": {(os, "replace"): slow(os.replace)},
         }
@@ -384,7 +400,10 @@ class TestSealFileStreaming:
         assert report.plaintext_digest == expected.plaintext_digest
         assert report.input_len == size
 
-    def test_holds_one_chunk_in_memory(self, tmp_path, fips_key):
+    @pytest.mark.parametrize("chunk_size", [1 << 20, 64 << 20], ids=["1MiB", "64MiB"])
+    def test_holds_one_window_in_memory(self, tmp_path, fips_key, chunk_size):
+        # Whatever the chunk size: one chunk of 64 MiB used to hold the
+        # whole 16 MiB model in memory.
         size = 16 * 1024 * 1024
         src = tmp_path / "model.bin"
         with open(src, "wb") as handle:
@@ -393,13 +412,78 @@ class TestSealFileStreaming:
         tracemalloc.start()
         try:
             baseline = tracemalloc.get_traced_memory()[0]
-            report = seal_file(src, tmp_path / "model.mvc", fips_key,
-                               chunk_size=1024 * 1024)
+            report = seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=chunk_size)
             peak = tracemalloc.get_traced_memory()[1] - baseline
         finally:
             tracemalloc.stop()
         assert report.input_len == size
-        assert peak < 0.1 * size
+        assert peak < 0.03 * size
+        blob = unseal((tmp_path / "model.mvc").read_bytes(), fips_key, SealedFormat.CONTAINER)
+        assert bytes(blob.data) == src.read_bytes()
+
+    @pytest.mark.parametrize("chunk_size", [4096, 5000, 300 * 1024, 1 << 20, 3 << 20])
+    @pytest.mark.parametrize("size", [0, 1, WINDOW - 1, WINDOW, WINDOW + 1, (3 << 20) + 123])
+    def test_windows_seal_like_one_call_per_chunk(self, tmp_path, fips_key, fixed_nonce,
+                                                 monkeypatch, chunk_size, size):
+        # seal_file walks each chunk in windows of at most WINDOW bytes, each
+        # encrypted at its offset in the chunk; seal encrypts each chunk in
+        # one call. The artifacts are the same bytes.
+        model = random.Random(size).randbytes(size)
+        src = tmp_path / "model.bin"
+        src.write_bytes(model)
+        real_ctr = sealer_mod.ctr_crypt
+        calls = []
+
+        def recording_ctr(data, key, nonce, index, out=None, *, offset):
+            calls.append((index, offset, len(data)))
+            return real_ctr(data, key, nonce, index, out=out, offset=offset)
+
+        monkeypatch.setattr(sealer_mod, "ctr_crypt", recording_ctr)
+        sealed, expected = seal(model, fips_key, chunk_size=chunk_size)
+        chunks = [(index, 0, span.stop - span.start)
+                  for index, span in enumerate(chunk_slices(size, chunk_size))]
+        assert calls == chunks
+        calls.clear()
+        report = seal_file(src, tmp_path / "model.mvc", fips_key, chunk_size=chunk_size,
+                           write_manifest=False)
+        assert (tmp_path / "model.mvc").read_bytes() == sealed
+        assert report.output_len == expected.output_len
+        assert report.plaintext_digest == expected.plaintext_digest
+        assert all(n <= WINDOW and offset % WINDOW == 0 for _, offset, n in calls)
+        assert sum(n for _, _, n in calls) == size
+        if size:  # an empty model is sealed whole, as one empty chunk
+            assert len(calls) == sum(-(-n // WINDOW) for _, _, n in chunks)
+
+    @pytest.mark.parametrize("fifo", [False, True], ids=["file", "fifo"])
+    def test_raw_model_is_sealed_in_the_buffer_it_is_read_into(self, tmp_path, fips_key,
+                                                              fifo):
+        if fifo and not hasattr(os, "mkfifo"):
+            pytest.skip("needs named pipes")
+        size = 8 * 1024 * 1024
+        model = random.Random(7).randbytes(size)
+        src = tmp_path / "model.bin"
+        if fifo:
+            os.mkfifo(src)
+            writer = threading.Thread(target=src.write_bytes, args=(model,), daemon=True)
+        else:
+            src.write_bytes(model)
+        out = tmp_path / "model.dat"
+        tracemalloc.start()
+        try:
+            if fifo:
+                writer.start()
+            report = seal_file(src, out, fips_key, mode=CipherMode.RAW_ECB_PKCS7,
+                               write_manifest=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if fifo:
+            writer.join(timeout=10)
+            assert not writer.is_alive()
+        assert report.input_len == size
+        assert report.plaintext_digest == sha256(model)
+        assert out.read_bytes() == seal(model, fips_key, mode=CipherMode.RAW_ECB_PKCS7)[0]
+        assert peak <= 1.1 * size
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_input_seals_like_a_regular_file(self, tmp_path, fips_key,
@@ -441,7 +525,8 @@ class TestSealFileStreaming:
         assert (tmp_path / "model.out").read_bytes() == expected
         assert report.input_len == len(MODEL)
         [buf] = read
-        assert isinstance(buf, mmap.mmap) and memoryview(buf) == bytes(len(MODEL))
+        room = crypto_mod._ECB_ROOM if mode is CipherMode.RAW_ECB_PKCS7 else 0
+        assert isinstance(buf, mmap.mmap) and memoryview(buf) == bytes(len(MODEL) + room)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.skipif(crypto_mod._MAP_FLAGS is None, reason="needs anonymous mappings")
@@ -477,7 +562,8 @@ class TestSealFileStreaming:
         [buf] = given
         assert isinstance(buf, crypto_mod._TracedMapping)
         assert len(resized) > 1 and all(grown is buf for grown in resized)
-        assert len(buf) == size and memoryview(buf) == bytes(size)
+        room = crypto_mod._ECB_ROOM if mode is CipherMode.RAW_ECB_PKCS7 else 0
+        assert len(buf) == size + room and memoryview(buf) == bytes(size + room)
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     @pytest.mark.parametrize("mode", list(CipherMode))
@@ -603,9 +689,10 @@ class TestSealFileStreaming:
     @pytest.mark.parametrize("change", [-16, +1], ids=["shrinks", "grows"])
     def test_raw_model_changing_size_is_refused(self, tmp_path, fips_key, monkeypatch,
                                                 change):
-        # A raw model is read whole into a buffer of the size fstat gave,
-        # which is wiped when the seal is refused: a shrunk model leaves
-        # what was read of it, a grown one all of it.
+        # A raw model is read whole into the start of a buffer of the size
+        # fstat gave plus room to pad it, which is wiped when the seal is
+        # refused: a shrunk model leaves what was read of it, a grown one
+        # all of it.
         src = tmp_path / "model.bin"
         src.write_bytes(MODEL)
         real_read_exactly = sealer_mod._read_exactly
@@ -622,7 +709,8 @@ class TestSealFileStreaming:
         assert info.value.path == str(src)
         assert _leftovers(tmp_path, "model.bin") == []
         [buf] = buffers
-        assert type(buf) is bytearray and buf == bytes(len(MODEL))
+        assert len(buf) == len(MODEL)
+        assert type(buf.obj) is bytearray and buf.obj == bytes(len(MODEL) + crypto_mod._ECB_ROOM)
 
 
 _FORMAT_OF = {CipherMode.CHUNKED_CTR: SealedFormat.CONTAINER,
