@@ -136,15 +136,16 @@ def _check_ended(source, path, action: str) -> None:
             raise _changed_error(path, action)
 
 
-def _read_whole(source, buf, path):
-    """Read all of ``source``, of unknown size, into ``buf`` and return the model.
+def _read_whole(source, buf, path, room: int = 0):
+    """Read all of ``source``, of unknown size, into ``buf``; return it with ``room`` behind.
 
     ``buf``, from ``_growing_buffer``, is the caller's: it allocates it and
     wipes it, also when this raises. It is grown whenever it is full, by
     an eighth and at least a pipe's worth, read into straight until the
-    input ends, and cut to what was read. An empty input returns an empty
-    ``bytearray`` instead, as a buffer cannot be cut to nothing; nothing
-    was read into ``buf`` then.
+    input ends, and cut to what was read and ``room`` zeroed bytes more.
+    An empty input with no room returns an empty ``bytearray`` instead,
+    as a buffer cannot be cut to nothing; nothing was read into ``buf``
+    then.
     """
     filled = 0
     with _reading(path):
@@ -156,9 +157,9 @@ def _read_whole(source, buf, path):
             if not n:
                 break
             filled += n
-        if not filled:
+        if not filled + room:
             return bytearray()
-        buf.resize(filled)
+        buf.resize(filled + room)
     return buf
 
 

@@ -20,13 +20,14 @@ results can be compared across machines.
 
 from __future__ import annotations
 
+import contextlib
 import random
 import statistics
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from ._files import _now_ms
+from ._files import _atomic_output, _now_ms, _open_input, _read_exactly
 from .container import DEFAULT_CHUNK_SIZE, SealedFormat
 from .crypto import KeyMaterial, CipherMode
 from .errors import DegenerateError, RangeError
@@ -44,6 +45,8 @@ DEFAULT_SEED = 42
 
 _METRICS = ("encrypt_ms", "storage_ms", "total_seal_ms", "total_ms",
             "decrypt_ms")
+# The numeric columns of emit_table's rows, after the label.
+_COLUMNS = ("size_mb", "encrypt_ms", "storage_ms", "total_ms", "decrypt_ms")
 
 
 def mb_to_bytes(size_mb: float) -> int:
@@ -84,10 +87,7 @@ class BenchRecord:
         """Full seal cost: encryption plus storage."""
         return self.encrypt_ms + self.storage_ms
 
-    @property
-    def total_ms(self) -> float:
-        """Alias of ``total_seal_ms`` (the table column name)."""
-        return self.total_seal_ms
+    total_ms = total_seal_ms  # the table column's name
 
 
 @dataclass(frozen=True)
@@ -127,14 +127,16 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
     fmt = (SealedFormat.RAW_DAT if mode is CipherMode.RAW_ECB_PKCS7
            else SealedFormat.CONTAINER)
 
-    with tempfile.TemporaryDirectory(prefix="mvc-bench-") as tmp:
-        base = Path(work_dir) if work_dir is not None else Path(tmp)
+    with (tempfile.TemporaryDirectory(prefix="mvc-bench-") if work_dir is None
+          else contextlib.nullcontext(work_dir)) as tmp:
+        base = Path(tmp)
         base.mkdir(parents=True, exist_ok=True)
         cases = []
         for index, size_mb in enumerate(sizes_mb):
             size_bytes = mb_to_bytes(size_mb)
             in_path = base / f"model-{index}.bin"
-            in_path.write_bytes(generate_synthetic_model(size_bytes, seed + index))
+            with _atomic_output(in_path) as out:
+                out.write(generate_synthetic_model(size_bytes, seed + index))
             cases.append({
                 "size_mb": size_mb, "size_bytes": size_bytes,
                 "in_path": in_path, "out_path": base / f"model-{index}.mvc",
@@ -147,7 +149,9 @@ def run_bench(sizes_mb=DEFAULT_SIZES_MB, key: KeyMaterial | None = None,
                 report = seal_file(case["in_path"], case["out_path"], key,
                                    mode=mode, chunk_size=chunk_size,
                                    write_manifest=False)
-                sealed = case["out_path"].read_bytes()
+                with _open_input(case["out_path"]) as (source, _, size):
+                    sealed = bytearray(size)
+                    _read_exactly(source, sealed, case["out_path"], "read")
                 decrypt_ms = _time_decrypt(sealed, key, fmt)
                 del sealed
                 if rep == 0:
@@ -192,23 +196,16 @@ def fit_linear(records, metric: str = "total_ms") -> LinearFit:
 
 def emit_table(records, fmt: str = "markdown") -> str:
     """Render records as a markdown or CSV table (stable output)."""
+    if fmt not in ("markdown", "csv"):
+        raise RangeError(f"fmt must be 'markdown' or 'csv', got {fmt!r}")
+    rows = [(r.label, *(f"{getattr(r, name):.3f}" for name in _COLUMNS)) for r in records]
     if fmt == "csv":
-        lines = ["label,size_mb,encrypt_ms,storage_ms,total_ms,decrypt_ms"]
-        for r in records:
-            lines.append(f"{r.label},{r.size_mb:.3f},{r.encrypt_ms:.3f},"
-                         f"{r.storage_ms:.3f},{r.total_ms:.3f},{r.decrypt_ms:.3f}")
-        return "\n".join(lines) + "\n"
-    if fmt == "markdown":
-        lines = [
-            "| Model | Size (MB) | Encrypt (ms) | Store (ms) | Total (ms) | Decrypt (ms) |",
-            "| --- | ---: | ---: | ---: | ---: | ---: |",
-        ]
-        for r in records:
-            lines.append(f"| {r.label} | {r.size_mb:.3f} | {r.encrypt_ms:.3f} "
-                         f"| {r.storage_ms:.3f} | {r.total_ms:.3f} "
-                         f"| {r.decrypt_ms:.3f} |")
-        return "\n".join(lines) + "\n"
-    raise RangeError(f"fmt must be 'markdown' or 'csv', got {fmt!r}")
+        lines = [",".join(("label", *_COLUMNS)), *map(",".join, rows)]
+    else:
+        lines = ["| Model | Size (MB) | Encrypt (ms) | Store (ms) | Total (ms) | Decrypt (ms) |",
+                 "| --- | ---: | ---: | ---: | ---: | ---: |",
+                 *(f"| {' | '.join(row)} |" for row in rows)]
+    return "\n".join(lines) + "\n"
 
 
 def format_fit(fit: LinearFit, metric: str = "total_ms") -> str:

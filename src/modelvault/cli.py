@@ -97,23 +97,20 @@ def _resolve_key(args) -> KeyMaterial:
                           + " and ".join(chosen))
     if args.token and not args.key_url:
         raise _UsageError("--token only makes sense with --key-url")
-    if args.passphrase:
-        return derive_key(args.passphrase)
-    if args.key_hex:
-        return load_key_hex(args.key_hex)
+    passphrase, key_hex = args.passphrase, args.key_hex
+    if not chosen:
+        passphrase, key_hex = os.environ.get("MVC_KEY"), os.environ.get("MVC_KEY_HEX")
+        if passphrase and key_hex:
+            raise _UsageError("set only one of MVC_KEY and MVC_KEY_HEX")
+    if passphrase:
+        return derive_key(passphrase)
+    if key_hex:
+        return load_key_hex(key_hex)
     if args.key_url:
         token = args.token or os.environ.get("MVC_TOKEN")
         if not token:
             raise _UsageError("--key-url needs --token or MVC_TOKEN")
         return fetch_key(args.key_url, token)
-    env_key = os.environ.get("MVC_KEY")
-    env_hex = os.environ.get("MVC_KEY_HEX")
-    if env_key and env_hex:
-        raise _UsageError("set only one of MVC_KEY and MVC_KEY_HEX")
-    if env_key:
-        return derive_key(env_key)
-    if env_hex:
-        return load_key_hex(env_hex)
     raise _UsageError("no key given: use --passphrase, --key-hex, --key-url, "
                       "or set MVC_KEY / MVC_KEY_HEX")
 
@@ -138,7 +135,8 @@ def cmd_seal(args) -> int:
     report = seal_file(Path(args.input), out, key, mode=mode,
                        chunk_size=args.chunk_size,
                        write_manifest=not args.no_manifest)
-    _print_report({**report.manifest(), "commit_ms": report.commit_ms, "out": str(out)}, out)
+    _print_report({**report.manifest(), "hash_ms": report.hash_ms,
+                   "commit_ms": report.commit_ms, "out": str(out)}, out)
     return 0
 
 
@@ -244,8 +242,9 @@ def cmd_bench(args) -> int:
     print(output, end="")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "bench.md").write_text(output)
-    (out_dir / "bench.csv").write_text(emit_table(records, "csv"))
+    for name, text in (("bench.md", output), ("bench.csv", emit_table(records, "csv"))):
+        with _atomic_output(out_dir / name) as handle:
+            handle.write(text.encode())
     return 0
 
 
@@ -328,15 +327,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, ModelVaultError, OSError, ValueError) as exc:
         print(f"mvc: error: {exc}", file=sys.stderr)
-        return 1
-    except _CRYPTO_ERRORS as exc:
-        print(f"mvc: error: {exc}", file=sys.stderr)
-        return 2
-    except (ModelVaultError, OSError, ValueError) as exc:
-        print(f"mvc: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, _CRYPTO_ERRORS) else 1
     except KeyboardInterrupt:
         return 130
 

@@ -29,9 +29,8 @@ model is sealed where it was read, so it is held once: a container's
 chunks are hashed and encrypted in place in that buffer, and the header
 is written followed by the buffer; a raw model is padded and encrypted
 in place, in ``crypto._ECB_ROOM`` bytes of room that the buffer has
-behind it (a sized read allocates them, an unsized one grows the buffer
-by them once the input has ended). An empty file seals to the same
-bytes either way.
+behind it (a sized read allocates them, and ``_read_whole`` leaves them
+behind what it read). An empty file seals to the same bytes either way.
 
 The artifact and its manifest are written through
 ``_files._atomic_output``, which renames a temp file over a new or
@@ -259,12 +258,8 @@ def seal_file(
                         _read_exactly(source, memoryview(model)[:size], input_path, "sealed")
                         _check_ended(source, input_path, "sealed")
                     else:
-                        model = _read_whole(source, model, input_path)
-                        size = len(model)
-                        if room and size:
-                            model.resize(size + room)  # no view is held across it
-                        elif room:
-                            model = bytearray(room)  # nothing was read
+                        model = _read_whole(source, model, input_path, room)
+                        size = len(model) - room
                     if mode is CipherMode.RAW_ECB_PKCS7:
                         head = b""
                         body, digest = _seal_raw(model, key, phases, size)

@@ -91,6 +91,17 @@ class TestKeyResolution:
                            "--passphrase", PASSPHRASE)
         assert code == 0
 
+    @pytest.mark.parametrize("flag, value", [("--passphrase", PASSPHRASE),
+                                             ("--key-hex", KEY_HEX)])
+    def test_flag_overrides_both_env_sources(self, capsys, model_file, monkeypatch,
+                                             flag, value):
+        # Both env values are set and invalid: success proves the flag won
+        # and "set only one of MVC_KEY and MVC_KEY_HEX" was never reached.
+        monkeypatch.setenv("MVC_KEY", "way too short")
+        monkeypatch.setenv("MVC_KEY_HEX", "zz")
+        code, _, err = run(capsys, "seal", str(model_file), flag, value)
+        assert code == 0, err
+
     def test_env_passphrase_works(self, capsys, model_file, monkeypatch):
         monkeypatch.setenv("MVC_KEY", PASSPHRASE)
         code, _, _ = run(capsys, "seal", str(model_file))
@@ -131,9 +142,10 @@ class TestSealCli:
         assert manifest["mode"] == "ctr"
         assert manifest["out"] == str(out_path)
         assert manifest["commit_ms"] > 0.0
+        assert manifest["hash_ms"] > 0.0
         assert out_path.exists()
         sidecar = json.loads((tmp_path / "sealed.mvc.manifest.json").read_text())
-        assert set(manifest) - set(sidecar) == {"commit_ms", "out"}
+        assert set(manifest) - set(sidecar) == {"commit_ms", "hash_ms", "out"}
 
     def test_default_output_suffix(self, capsys, model_file):
         code, out, _ = run(capsys, "seal", str(model_file),

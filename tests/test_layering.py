@@ -3,6 +3,7 @@
 File I/O lives in ``modelvault._files`` alone: its ``_atomic_output`` is
 the one place that creates a temp file and renames it over an output,
 and its ``_open_input`` the one place that opens a model or an artifact.
+No other module calls a file method such as ``Path.write_text`` either.
 No module reaches into the private names of ``sealer`` or ``unsealer``,
 so unsealing does not depend on the seal loop. No module but
 ``__init__``, which re-exports, imports a name it never uses, so a
@@ -22,6 +23,9 @@ PACKAGE = Path(modelvault.__file__).parent
 MODULES = sorted(PACKAGE.glob("*.py"))
 # (module, function) pairs that only _files may call.
 FILE_CALLS = {("tempfile", "mkstemp"), ("os", "replace"), ("os", "open"), (None, "open")}
+# Methods that only _files may call, on any receiver, as pathlib's I/O is
+# called on a Path: ``(out_dir / "bench.md").write_text(...)``.
+FILE_METHODS = {"open", "read_bytes", "write_bytes", "read_text", "write_text"}
 
 
 def _tree(path: Path) -> ast.Module:
@@ -37,6 +41,13 @@ def _called(tree: ast.Module):
                 yield None, func.id
             elif isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
                 yield func.value.id, func.attr
+
+
+def _methods(tree: ast.Module):
+    """The name of every method called, whatever its receiver is."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+            yield node.func.attr
 
 
 def _private_imports(tree: ast.Module):
@@ -77,6 +88,7 @@ def test_no_module_imports_private_names_of_sealer_or_unsealer(path):
                          ids=lambda path: path.stem)
 def test_only_files_opens_creates_or_renames(path):
     assert set(_called(_tree(path))) & FILE_CALLS == set()
+    assert set(_methods(_tree(path))) & FILE_METHODS == set()
 
 
 @pytest.mark.parametrize("path", [p for p in MODULES if p.stem != "__init__"],
@@ -96,11 +108,17 @@ def test_the_checks_catch_what_they_look_for():
                      "from .crypto import _wipe\n"
                      "fd, name = tempfile.mkstemp()\n"
                      "os.replace(name, 'x')\n"
-                     "open('x', 'rb')\n")
+                     "open('x', 'rb')\n"
+                     "(out_dir / 'bench.md').write_text('x')\n"
+                     "Path('x').read_bytes()\n"
+                     "case['out_path'].write_bytes(b'')\n"
+                     "self.path.read_text()\n"
+                     "path.open('rb')\n")
     assert list(_private_imports(tree)) == [("sealer", "_atomic_output"),
                                            ("unsealer", "_read_whole")]
     assert set(_called(tree)) & FILE_CALLS == {("tempfile", "mkstemp"), ("os", "replace"),
                                                (None, "open")}
+    assert set(_methods(tree)) & FILE_METHODS == FILE_METHODS
 
 
 def test_the_unused_import_check_sees_every_kind_of_use():

@@ -580,6 +580,23 @@ class TestSealFileStreaming:
         assert (tmp_path / "model.out").read_bytes() == seal(b"", fips_key, mode=mode)[0]
 
     @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    @pytest.mark.parametrize("size", [1, 8 * 1024 * 1024 + 5])
+    @pytest.mark.parametrize("mode", list(CipherMode))
+    def test_fifo_seals_like_seal(self, tmp_path, fips_key, fixed_nonce, mode, size):
+        # An empty FIFO is test_empty_fifo_seals_like_an_empty_file's.
+        model = random.Random(size).randbytes(size)
+        fifo = tmp_path / "model.pipe"
+        os.mkfifo(fifo)
+        writer = threading.Thread(target=fifo.write_bytes, args=(model,), daemon=True)
+        writer.start()
+        report = seal_file(fifo, tmp_path / "model.out", fips_key, mode=mode,
+                           write_manifest=False)
+        writer.join(timeout=10)
+        assert not writer.is_alive()
+        assert report.input_len == size
+        assert (tmp_path / "model.out").read_bytes() == seal(model, fips_key, mode=mode)[0]
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
     def test_fifo_container_is_sealed_in_the_buffer_it_is_read_into(self, tmp_path, fips_key,
                                                                    fixed_nonce):
         size = 8 * 1024 * 1024
@@ -631,6 +648,16 @@ class TestSealFileStreaming:
         buf = files_mod._read_whole(io.BytesIO(), given, tmp_path / "model.pipe")
         assert type(buf) is bytearray and buf == b""
         assert memoryview(given) == bytes(files_mod._PIPE_READ)
+
+    @pytest.mark.parametrize("size", [0, 1, files_mod._PIPE_READ, files_mod._PIPE_READ + 77])
+    @pytest.mark.parametrize("room", [1, crypto_mod._ECB_ROOM])
+    def test_unsized_input_is_returned_with_zeroed_room_behind_it(self, tmp_path, size, room):
+        # An empty input with no room is the previous test's.
+        model = random.Random(size).randbytes(size)
+        given = crypto_mod._growing_buffer(files_mod._PIPE_READ)
+        buf = files_mod._read_whole(io.BytesIO(model), given, tmp_path / "model.pipe", room)
+        assert buf is given and len(buf) == size + room
+        assert buf[:size] == model and buf[size:] == bytes(room)
 
     def test_size_reading_zero_is_read_whole(self, tmp_path, fips_key, fixed_nonce,
                                              monkeypatch):
