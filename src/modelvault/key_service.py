@@ -15,10 +15,27 @@ and any method but GET on the key path, whatever its name, is a JSON 405.
 This is the development/test half of the key flow. It speaks plain HTTP;
 a production deployment must sit behind TLS termination.
 
+It speaks the part of HTTP/1.1 (RFC 9112) that the key flow needs. It
+reads a request line and header fields, at most 65 536 bytes a line and
+100 fields, and never a body. A request line past that bound gets 414,
+fields past it 431, a head that does not parse 400, and an HTTP version
+of 2 or above 505; each answer is a JSON ``{"error": ...}``, and the
+connection closes after it. Every reply leaves in one write, with
+``Date``, ``Content-Type`` and ``Content-Length``; a HEAD gets the head
+alone.
+
 Connections are kept alive (HTTP/1.1), and each open connection holds one
 server thread until the client closes it, sends nothing for
 ``_Handler.timeout`` seconds, or :meth:`KeyService.stop` ends it. Every
-request on a connection is authenticated on its own.
+request on a connection is authenticated on its own. An HTTP/1.0 request,
+one with ``Connection: close`` and one that declares a body get their
+answer, and then the connection closes, so a body is never read as the
+next request.
+
+Each answered request logs one INFO record on the
+``modelvault.key_service`` logger: the method, the path without its
+query, the status and the latency in ms. Nothing is printed unless the
+application configures a handler.
 """
 
 from __future__ import annotations
@@ -27,14 +44,17 @@ import base64
 import hashlib
 import hmac
 import json
+import logging
 import math
+import re
 import socket
+import socketserver
 import threading
 import time
 from dataclasses import dataclass, field
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import urlparse
 
+from ._http import MAX_LINE, read_fields
 from .crypto import derive_key
 from .errors import RangeError
 
@@ -43,6 +63,17 @@ KEY_PATH = "/v1/model-key"
 _UNAUTHORIZED = (401, {"error": "unauthorized"})
 # Seconds between the serving loop's checks for stop(); stop() waits up to one.
 _POLL_INTERVAL = 0.05
+
+_VERSION = re.compile(rb"HTTP/[0-9]\.[0-9]")
+_REASONS = {200: b"OK", 400: b"Bad Request", 401: b"Unauthorized", 404: b"Not Found",
+            405: b"Method Not Allowed", 414: b"URI Too Long",
+            431: b"Request Header Fields Too Large", 505: b"HTTP Version Not Supported"}
+# The answers to a request head that does not parse; each closes its connection.
+_HEAD_ERRORS = {400: {"error": "bad request"}, 414: {"error": "request line too long"},
+                431: {"error": "request header fields too large"},
+                505: {"error": "http version not supported"}}
+
+_log = logging.getLogger(__name__)
 
 
 def _b64url_encode(raw: bytes) -> str:
@@ -148,12 +179,45 @@ def handle_key_request(config: ServiceConfig, method: str, path: str,
     return 200, {"key": config.passphrase}
 
 
-class _Handler(BaseHTTPRequestHandler):
-    protocol_version = "HTTP/1.1"
+def _read_request(rfile) -> tuple[str, str, str | None, bool] | int | None:
+    """Read one request head from ``rfile``, a buffered binary reader.
+
+    Returns ``(method, target, authorization, keep_alive)`` for a request,
+    an error status for a head that does not parse, or None when the stream
+    ends or the request line is blank. No body is read: a request that
+    declares one does not keep its connection, so the body is never read as
+    the next request. Only an OSError of ``rfile`` escapes.
+    """
+    line = rfile.readline(MAX_LINE + 1)
+    if len(line) > MAX_LINE:
+        return 414
+    words = line.split()
+    if not line.endswith(b"\n") or not words:
+        return None
+    if len(words) != 3 or _VERSION.fullmatch(words[2]) is None:
+        return 400
+    method, target, version = words
+    if version >= b"HTTP/2":
+        return 505
+    fields = read_fields(rfile)
+    if not isinstance(fields, dict):
+        return fields
+    keep_alive = (version >= b"HTTP/1.1"
+                  and b"close" not in fields.get(b"connection", b"").lower()
+                  and fields.get(b"content-length", b"0") == b"0"
+                  and b"transfer-encoding" not in fields)
+    target = target.decode("latin-1")
+    if target.startswith("//"):  # a path, not a host: "//v1/model-key" is the key path
+        target = "/" + target.lstrip("/")
+    authorization = fields.get(b"authorization")
+    if authorization is not None:
+        authorization = authorization.decode("latin-1")
+    return method.decode("latin-1"), target, authorization, keep_alive
+
+
+class _Handler(socketserver.StreamRequestHandler):
     timeout = 10.0  # idle seconds before a silent client is dropped, freeing its thread
-    # The headers and the body leave as two writes. With Nagle's algorithm
-    # on, the body of a reply on a kept-alive connection waits for the
-    # client's delayed ACK of the headers, about 40 ms.
+    # A reply is small and leaves in one write; never hold it back for an ACK.
     disable_nagle_algorithm = True
 
     def setup(self):
@@ -170,30 +234,37 @@ class _Handler(BaseHTTPRequestHandler):
             server.connections.discard(self.connection)
         super().finish()
 
-    def _respond(self):
+    def handle(self):
         server = self.server
-        if server.closing:
-            # A request read after stop() is not answered.
-            self.close_connection = True
-            return
-        status, body = handle_key_request(
-            server.config, self.command, self.path, self.headers.get("Authorization"))
-        encoded = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(encoded)))
-        self.end_headers()
-        if self.command != "HEAD":
-            self.wfile.write(encoded)
-
-    def __getattr__(self, name):
-        # http.server looks up do_<METHOD>; every method, OPTIONS and BREW
-        # included, gets handle_key_request's answer rather than a 501 page.
-        return self._respond if name.startswith("do_") else object.__getattribute__(self, name)
-
-    def log_message(self, format, *args):
-        # Silence the default access log: nothing is logged per request.
-        pass
+        while True:
+            try:
+                request = _read_request(self.rfile)
+            except OSError:  # the idle timeout, or the client reset the connection
+                return
+            if request is None or server.closing:
+                return  # a request read after stop() is not answered
+            start = time.perf_counter()
+            if isinstance(request, int):
+                method = path = "-"
+                status, body, keep_alive = request, _HEAD_ERRORS[request], False
+            else:
+                method, path, authorization, keep_alive = request
+                status, body = handle_key_request(server.config, method, path, authorization)
+            encoded = json.dumps(body).encode()
+            reply = (b"HTTP/1.1 %d %s\r\nDate: %s\r\nContent-Type: application/json\r\n"
+                     b"Content-Length: %d\r\n%s\r\n"
+                     % (status, _REASONS[status], server.date(), len(encoded),
+                        b"" if keep_alive else b"Connection: close\r\n"))
+            if method != "HEAD":
+                reply += encoded
+            try:
+                self.wfile.write(reply)
+            except OSError:
+                return
+            _log.info("%s %s %d %.3f ms", method, path.partition("?")[0], status,
+                      (time.perf_counter() - start) * 1e3)
+            if not keep_alive:
+                return
 
 
 def _end_reading(conn: socket.socket) -> None:
@@ -204,8 +275,11 @@ def _end_reading(conn: socket.socket) -> None:
         pass  # the client has gone already
 
 
-class _Server(ThreadingHTTPServer):
-    """A threading HTTP server that tracks its open connections."""
+class _Server(socketserver.ThreadingTCPServer):
+    """A threading TCP server that tracks its open connections."""
+
+    daemon_threads = True
+    allow_reuse_address = True
 
     def __init__(self, address: tuple[str, int], config: ServiceConfig):
         super().__init__(address, _Handler)
@@ -213,6 +287,17 @@ class _Server(ThreadingHTTPServer):
         self.connections: set[socket.socket] = set()
         self.connections_lock = threading.Lock()
         self.closing = False
+        self._date = (0, b"")  # (second, its Date value), shared by the handlers
+
+    def date(self) -> bytes:
+        """This second's ``Date`` value (RFC 9110, section 5.6.7)."""
+        now = int(time.time())
+        second, value = self._date
+        if second != now:
+            weekday, month, day, clock, year = time.asctime(time.gmtime(now)).split()
+            value = f"{weekday}, {int(day):02d} {month} {year} {clock} GMT".encode()
+            self._date = (now, value)
+        return value
 
     def end_connections(self) -> None:
         """Answer no further request and drop every open connection."""

@@ -1,8 +1,11 @@
 """Tests for the key-fetching client: happy path, every failure shape."""
 
+import datetime
+import ipaddress
 import json
 import os
 import socket
+import ssl
 import subprocess
 import sys
 import threading
@@ -11,6 +14,10 @@ from concurrent.futures import ThreadPoolExecutor
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from cryptography import x509
+from cryptography.hazmat.primitives import hashes, serialization
+from cryptography.hazmat.primitives.asymmetric import ec
+from cryptography.x509.oid import NameOID
 
 from modelvault import key_client
 from modelvault.crypto import derive_key
@@ -22,6 +29,28 @@ from modelvault.key_service import (KeyService, ServiceConfig, _Handler,
 SECRET = b"client-test-secret"
 PASSPHRASE = "fedcba9876543210"
 TOKEN_SENTINEL = "tok-3f1b9d"  # appearing in any error text would be a leak
+
+KEY_BODY = json.dumps({"key": PASSPHRASE}).encode()
+
+
+def chunked(body: bytes, size: int = 7) -> bytes:
+    """``body`` in the chunked transfer coding, ``size`` bytes a chunk."""
+    chunks = [body[i:i + size] for i in range(0, len(body), size)]
+    return b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\n\r\n"
+
+
+# Responses written byte for byte, in shapes the key service never sends.
+RAW_REPLIES = {
+    "/chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(KEY_BODY),
+    "/chunked-huge": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                     + chunked(b'{"key": "' + b"a" * 5000 + b'"}', size=1000),
+    "/until-close": b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + KEY_BODY,
+    "/continue": b"HTTP/1.1 100 Continue\r\n\r\nHTTP/1.0 200 OK\r\nContent-Length: %d\r\n\r\n%s"
+                 % (len(KEY_BODY), KEY_BODY),
+    "/http2": b"HTTP/2.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(KEY_BODY), KEY_BODY),
+    "/many-headers": b"HTTP/1.0 200 OK\r\n" + b"X-Filler: 1\r\n" * 101
+                     + b"Content-Length: %d\r\n\r\n%s" % (len(KEY_BODY), KEY_BODY),
+}
 
 
 @pytest.fixture(autouse=True)
@@ -45,6 +74,9 @@ class _StubHandler(BaseHTTPRequestHandler):
             time.sleep(1.0)
         if self.path in ("/cut-chunk", "/cut-sized", "/stalled-body"):
             self.send_cut_short()
+            return
+        if self.path in RAW_REPLIES:
+            self.wfile.write(RAW_REPLIES[self.path])
             return
         status, headers, body = self.server.routes.get(
             self.path, (404, {}, b'{"error": "not found"}'))
@@ -76,10 +108,23 @@ class _StubHandler(BaseHTTPRequestHandler):
         pass
 
 
-@pytest.fixture
-def stub():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _StubHandler)
+class _KeptAliveStubHandler(_StubHandler):
+    """The stub over HTTP/1.1: a connection carries requests until the client closes it."""
+
+    protocol_version = "HTTP/1.1"
+
+    def setup(self):
+        super().setup()
+        self.server.opened.append(self.client_address)
+
+
+def serve_stub(handler, wrap=None):
+    """A stub server on its own thread; ``wrap`` may replace its listening socket."""
+    server = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if wrap is not None:
+        server.socket = wrap(server.socket)
     server.hits = []
+    server.opened = []
     server.routes = {
         "/ok": (200, {}, json.dumps({"key": PASSPHRASE}).encode()),
         "/forbidden": (403, {}, b'{"error": "unauthorized"}'),
@@ -94,10 +139,22 @@ def stub():
         "/slow": (200, {}, json.dumps({"key": PASSPHRASE}).encode()),
     }
     # A short poll, as KeyService uses, so shutdown() does not wait 0.5 s.
-    thread = threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True)
-    thread.start()
-    base = f"http://127.0.0.1:{server.server_address[1]}"
-    yield server, base
+    threading.Thread(target=server.serve_forever, args=(0.05,), daemon=True).start()
+    return server
+
+
+@pytest.fixture
+def stub():
+    server = serve_stub(_StubHandler)
+    yield server, f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def kept_alive_stub():
+    server = serve_stub(_KeptAliveStubHandler)
+    yield server, f"http://127.0.0.1:{server.server_address[1]}"
     server.shutdown()
     server.server_close()
 
@@ -220,6 +277,84 @@ class TestFetchKeyResponseValidation:
         _, base = stub
         with pytest.raises(TransportError):
             fetch_key(f"{base}/slow", "t", timeout=0.1)
+
+
+class TestResponseShapes:
+    """Bodies and heads that the key service never sends, read as HTTP/1.1 says."""
+
+    def test_chunked_body_is_decoded_and_the_connection_reused(self, kept_alive_stub):
+        server, base = kept_alive_stub
+        for _ in range(2):
+            assert fetch_key(f"{base}/chunked", "t").secret == derive_key(PASSPHRASE).secret
+        assert server.hits == ["/chunked"] * 2
+        assert len(server.opened) == 1
+
+    def test_chunked_body_past_the_cap_is_format_error(self, kept_alive_stub):
+        _, base = kept_alive_stub
+        with pytest.raises(FormatError, match="key response too large"):
+            fetch_key(f"{base}/chunked-huge", "t")
+        assert key_client._idle is None  # the rest of the body was never read
+
+    def test_body_without_a_length_is_read_until_close(self, stub):
+        _, base = stub
+        assert fetch_key(f"{base}/until-close", "t").secret == derive_key(PASSPHRASE).secret
+        assert key_client._idle is None
+
+    def test_100_continue_is_skipped(self, stub):
+        _, base = stub
+        assert fetch_key(f"{base}/continue", "t").secret == derive_key(PASSPHRASE).secret
+
+    @pytest.mark.parametrize("path", ["/http2", "/many-headers"])
+    def test_head_it_cannot_read_is_transport_error(self, stub, path):
+        _, base = stub
+        with pytest.raises(TransportError, match="cannot reach key service"):
+            fetch_key(f"{base}{path}", TOKEN_SENTINEL)
+        assert key_client._idle is None
+
+
+def self_signed(tmp_path) -> tuple[str, str]:
+    """PEM paths of a key and a certificate for 127.0.0.1 that no authority signed."""
+    key = ec.generate_private_key(ec.SECP256R1())
+    name = x509.Name([x509.NameAttribute(NameOID.COMMON_NAME, "127.0.0.1")])
+    now = datetime.datetime.now(datetime.timezone.utc)
+    cert = (x509.CertificateBuilder()
+            .subject_name(name).issuer_name(name).public_key(key.public_key())
+            .serial_number(x509.random_serial_number())
+            .not_valid_before(now - datetime.timedelta(days=1))
+            .not_valid_after(now + datetime.timedelta(days=1))
+            .add_extension(x509.SubjectAlternativeName(
+                [x509.IPAddress(ipaddress.ip_address("127.0.0.1"))]), critical=False)
+            .sign(key, hashes.SHA256()))
+    key_path, cert_path = tmp_path / "key.pem", tmp_path / "cert.pem"
+    key_path.write_bytes(key.private_bytes(serialization.Encoding.PEM,
+                                           serialization.PrivateFormat.PKCS8,
+                                           serialization.NoEncryption()))
+    cert_path.write_bytes(cert.public_bytes(serialization.Encoding.PEM))
+    return str(key_path), str(cert_path)
+
+
+class TestTls:
+    @pytest.fixture
+    def tls_stub(self, tmp_path):
+        key_path, cert_path = self_signed(tmp_path)
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(cert_path, key_path)
+        server = serve_stub(_StubHandler,
+                            lambda sock: context.wrap_socket(sock, server_side=True))
+        yield server, f"https://127.0.0.1:{server.server_address[1]}", cert_path
+        server.shutdown()
+        server.server_close()
+
+    def test_untrusted_certificate_is_transport_error(self, tls_stub):
+        server, base, _ = tls_stub
+        with pytest.raises(TransportError, match="cannot reach key service"):
+            fetch_key(f"{base}/ok", TOKEN_SENTINEL)
+        assert server.hits == []  # no request, so no Authorization header, arrived
+
+    def test_trusted_certificate_carries_the_fetch(self, tls_stub, monkeypatch):
+        _, base, cert_path = tls_stub
+        monkeypatch.setenv("SSL_CERT_FILE", cert_path)  # read by the default context
+        assert fetch_key(f"{base}/ok", "t").secret == derive_key(PASSPHRASE).secret
 
 
 class TestFetchKeyTransport:

@@ -4,7 +4,9 @@ import base64
 import hashlib
 import hmac
 import http.client
+import io
 import json
+import logging
 import math
 import socket
 import threading
@@ -16,10 +18,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from modelvault import cli
 from modelvault.errors import LengthError, RangeError
 from modelvault.key_service import (KEY_PATH, KeyService, ServiceConfig,
-                                    _end_reading, _Handler, handle_key_request,
-                                    issue_token, verify_token)
+                                    _end_reading, _Handler, _read_request,
+                                    handle_key_request, issue_token, verify_token)
 
 SECRET = b"test-jwt-secret"
 PASSPHRASE = "0123456789abcdef"
@@ -464,3 +467,142 @@ class TestKeptAliveConnections:
                     self.get(conn, token)
             finally:
                 conn.close()
+
+
+def exchange(port: int, data: bytes) -> tuple[list[tuple[int, dict, bytes]], bool]:
+    """Send ``data`` on one connection; read every reply until the server closes.
+
+    Returns ``(status, headers, body)`` per reply, bodies sized by their
+    Content-Length, and whether the server closed the connection.
+    """
+    with socket.create_connection(("127.0.0.1", port), timeout=5) as sock:
+        sock.sendall(data)
+        sock.settimeout(0.5)
+        received = b""
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+            closed = True
+        except TimeoutError:  # still open: every reply has arrived
+            closed = False
+    replies = []
+    while received:
+        head, _, received = received.partition(b"\r\n\r\n")
+        status_line, *lines = head.decode("latin-1").split("\r\n")
+        headers = dict(line.split(": ", 1) for line in lines)
+        length = 0 if data.startswith(b"HEAD") else int(headers["Content-Length"])
+        replies.append((int(status_line.split()[1]), headers, received[:length]))
+        received = received[length:]
+    return replies, closed
+
+
+class TestRequestHead:
+    """What the service answers to a request head, byte by byte."""
+
+    @pytest.fixture
+    def port(self):
+        with KeyService(config()) as svc:
+            yield svc.port
+
+    def get(self, token=None, version=b"HTTP/1.1", extra=b"") -> bytes:
+        auth = b"Authorization: Bearer %s\r\n" % token.encode() if token else b""
+        return b"GET %s %s\r\nHost: x\r\n%s%s\r\n" % (KEY_PATH.encode(), version, auth, extra)
+
+    # Each case sends no byte past the one that decides the answer, so the
+    # server has read everything when it closes.
+    @pytest.mark.parametrize("data,status", [
+        (b"GET /" + b"a" * 65532, 414),
+        (b"GET / HTTP/1.1\r\n" + b"X-Filler: 1\r\n" * 101, 431),
+        (b"GET / HTTP/1.1\r\nX-Long: " + b"a" * 65536, 431),
+        (b"GARBAGE\r\n", 400),
+        (b"GET /v1/model-key\r\n", 400),
+        (b"GET /v1/model-key HTTP/1.1 extra\r\n", 400),
+        (b"GET /v1/model-key HTTP/one\r\n", 400),
+        (b"GET / HTTP/1.1\r\nNo colon here\r\n", 400),
+        (b"GET / HTTP/1.1\r\nHost: x\r\n folded\r\n", 400),
+        (b"GET /v1/model-key HTTP/2.0\r\n", 505),
+    ], ids=["line-too-long", "101-headers", "header-too-long", "garbage", "http-0.9",
+            "four-words", "bad-version", "no-colon", "folded", "http-2"])
+    def test_bad_head_gets_json_and_a_close(self, port, data, status):
+        replies, closed = exchange(port, data)
+        assert [reply[0] for reply in replies] == [status]
+        _, headers, body = replies[0]
+        assert headers["Content-Type"] == "application/json"
+        assert headers["Connection"] == "close"
+        assert json.loads(body)["error"]
+        assert closed
+
+    def test_100_headers_are_read(self, port):
+        data = self.get(issue_token(SECRET, 60), extra=b"X-Filler: 1\r\n" * 98)
+        replies, closed = exchange(port, data)  # 98 fillers, Host and Authorization
+        assert [reply[0] for reply in replies] == [200]
+        assert not closed
+
+    def test_body_of_a_refused_post_is_never_a_request(self, port):
+        smuggled = self.get(issue_token(SECRET, 60))
+        data = (b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
+                % (KEY_PATH.encode(), len(smuggled), smuggled))
+        replies, closed = exchange(port, data)
+        assert [(status, body) for status, _, body in replies] == [
+            (405, b'{"error": "method not allowed"}')]
+        assert replies[0][1]["Connection"] == "close"
+        assert closed
+
+    @pytest.mark.parametrize("version,extra", [(b"HTTP/1.0", b""),
+                                               (b"HTTP/1.1", b"Connection: close\r\n")],
+                             ids=["http-1.0", "connection-close"])
+    def test_request_that_asks_to_close_is_closed_after_the_reply(self, port, version,
+                                                                  extra):
+        replies, closed = exchange(port, self.get(issue_token(SECRET, 60), version, extra))
+        assert [(status, json.loads(body)) for status, _, body in replies] == [
+            (200, {"key": PASSPHRASE})]
+        assert closed
+
+    def test_kept_alive_connection_answers_in_order(self, port):
+        token = issue_token(SECRET, 60)
+        replies, closed = exchange(port, self.get(token) + self.get("bad") + self.get(token))
+        assert [status for status, _, _ in replies] == [200, 401, 200]
+        assert all("Connection" not in headers and headers["Date"].endswith(" GMT")
+                   for _, headers, _ in replies)
+        assert not closed
+
+    def test_head_gets_the_headers_and_no_body(self, port):
+        data = b"HEAD %s HTTP/1.1\r\nHost: x\r\n\r\n" % KEY_PATH.encode()
+        replies, closed = exchange(port, data)
+        [(status, headers, body)] = replies
+        assert (status, body) == (405, b"")
+        assert int(headers["Content-Length"]) == len(b'{"error": "method not allowed"}')
+        assert not closed
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.binary(max_size=300)
+           | st.lists(st.sampled_from([b"GET", b" ", b"/v1/model-key", b"HTTP/1.1", b"HTTP/2.0",
+                                       b"\r\n", b"\n", b":", b"Authorization", b"Bearer x",
+                                       b"Connection", b"close", b"Content-Length", b"0",
+                                       b"\xe9", b"\t"]),
+                      max_size=40).map(b"".join))
+    @example(data=b"GET /v1/model-key HTTP/1.1\r\nAuthorization: Bearer \xe9\r\n\r\n")
+    def test_any_bytes_give_a_request_a_status_or_a_close(self, data):
+        head = _read_request(io.BytesIO(data))
+        assert (head is None or head in (400, 414, 431, 505)
+                or (isinstance(head, tuple) and len(head) == 4))
+
+
+class TestRequestLog:
+    def test_one_record_per_request_and_no_secret(self, caplog, capsys):
+        token = issue_token(SECRET, 60)
+        caplog.set_level(logging.INFO, logger="modelvault.key_service")
+        with KeyService(config()) as svc:
+            assert cli.main(["fetch-key", svc.url, "--token", token]) == 0
+            assert cli.main(["fetch-key", svc.url + "?v=1", "--token", "bad"]) == 2
+            deadline = time.monotonic() + 5
+            while len(caplog.records) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)  # a record follows its reply
+        records = [r for r in caplog.records if r.name == "modelvault.key_service"]
+        assert [(r.levelno, r.args[:3]) for r in records] == [
+            (logging.INFO, ("GET", KEY_PATH, 200)), (logging.INFO, ("GET", KEY_PATH, 401))]
+        assert all(r.args[3] >= 0 for r in records)
+        shown = caplog.text + "".join(r.getMessage() for r in records) + \
+            "".join(capsys.readouterr())
+        assert token not in shown
+        assert PASSPHRASE not in shown

@@ -8,11 +8,16 @@ No module reaches into the private names of ``sealer`` or ``unsealer``,
 so unsealing does not depend on the seal loop. No module but
 ``__init__``, which re-exports, imports a name it never uses, so a
 helper that a refactor retires does not linger in an import list.
+Importing the package loads neither the standard library's HTTP modules
+nor ``ssl``.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -129,3 +134,14 @@ def test_the_unused_import_check_sees_every_kind_of_use():
                      "def f(head: HEADER_SIZE) -> None:\n"
                      "    return decode(head, os.path.getsize(st))\n")
     assert _unused_imports(tree) == ["zlib", "header_len"]
+
+
+def test_importing_the_package_loads_no_stdlib_http_or_tls():
+    # The key flow speaks its own HTTP/1.1, and ssl loads only for an https URL.
+    heavy = ("http.client", "http.server", "email.parser", "ssl")
+    code = f"import sys, modelvault; print([m for m in {heavy!r} if m in sys.modules])"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert loaded.stdout.strip() == "[]"
