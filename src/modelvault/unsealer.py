@@ -5,8 +5,11 @@ exists as an in-process buffer that the caller can hand to an ML runtime
 and explicitly wipe afterwards. One read, one decrypt path: every
 container unseal runs ``_unseal_container``, the mirror of the sealer's
 ``_seal_chunks``, which decodes the container, checks the key, and
-decrypts the chunks in order on the thread that runs it (AES holds the
-GIL, so more threads would not help), each from its slice of the payload.
+decrypts the chunks in order on the thread that runs it, each from its
+slice of the payload. AES holds the GIL, so more decrypting threads would
+not help; SHA-256 in ``hashlib`` releases it, so one helper thread per
+unseal (``_ChunkHasher``) hashes chunk k while the caller decrypts chunk
+k+1. A container of one chunk is hashed inline, with no thread.
 From sealed bytes it decrypts into a fresh buffer; ``unseal_file`` reads
 its input whole, once, through ``_files``, and has it decrypted in place
 in the buffer it was read into:
@@ -51,8 +54,10 @@ claimed for any of them.
 from __future__ import annotations
 
 import functools
+import hashlib
 import mmap
 import os
+import queue
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -77,16 +82,23 @@ class ModelBlob:
     of its own (see ``crypto._secret_buffer``). From ``unseal_file``, one
     read and one decrypt path, it is a view of the buffer the artifact was
     read into. release() zeroes every plaintext byte in place.
+
+    ``digest``, if given, is the SHA-256 of ``buf`` that the caller has
+    already computed: a container unseal passes the one it checked against
+    the header, so the plaintext is never hashed twice.
     """
 
-    def __init__(self, buf: bytearray | mmap.mmap | memoryview, source_mode: CipherMode):
+    def __init__(self, buf: bytearray | mmap.mmap | memoryview, source_mode: CipherMode,
+                 digest: bytes | None = None):
         self._buf = buf
         self.source_mode = source_mode
         self._released = False
+        if digest is not None:
+            self.digest = digest  # fills the cached_property below
 
     @functools.cached_property
     def digest(self) -> bytes:
-        """SHA-256 of the plaintext, computed on first read.
+        """SHA-256 of the plaintext, as given to the constructor or computed on first read.
 
         A first read after release() raises ModelVaultError rather than
         hash the zeros.
@@ -140,6 +152,71 @@ def _decrypt_chunk(key: KeyMaterial, nonce: bytes, index: int, ciphertext: memor
     ctr_crypt(ciphertext, key, nonce, index, out=out)
 
 
+def _hash_chunk(sha, piece: memoryview) -> None:
+    # Module-level indirection so tests can count what is hashed, and on which thread.
+    sha.update(piece)
+
+
+class _ChunkHasher:
+    """SHA-256 of a plaintext fed chunk by chunk, in order.
+
+    With more than one chunk, a daemon thread named ``mvc-hash`` hashes each
+    chunk while the caller decrypts the next: ``hashlib`` releases the GIL
+    while it hashes, and AES does not. ``feed`` returns only once the helper
+    has taken the chunk and is about to hash it. A helper woken while the
+    caller is back in AES would wait for the GIL up to a switch interval
+    (5 ms) before it could start. With one chunk, or if no thread can start,
+    each chunk is hashed on the caller's thread. ``close`` joins the helper;
+    it runs before the fed buffer is wiped or handed out.
+    """
+
+    def __init__(self, chunks: int):
+        self._sha = hashlib.sha256()
+        self._error: BaseException | None = None
+        self._thread = None
+        if chunks > 1:
+            self._todo = queue.SimpleQueue()
+            self._taken = threading.Lock()
+            self._taken.acquire()
+            thread = threading.Thread(target=self._run, name="mvc-hash", daemon=True)
+            try:
+                thread.start()
+            except RuntimeError:
+                return
+            self._thread = thread
+
+    def _run(self) -> None:
+        while (piece := self._todo.get()) is not None:
+            self._taken.release()  # just before hashing: the caller goes on from here
+            if self._error is None:
+                try:
+                    _hash_chunk(self._sha, piece)
+                except BaseException as exc:  # raised again by digest()
+                    self._error = exc
+
+    def feed(self, piece: memoryview) -> None:
+        """Hash ``piece`` after every piece fed before it."""
+        if self._thread is None:
+            _hash_chunk(self._sha, piece)
+            return
+        self._todo.put(piece)
+        self._taken.acquire()
+
+    def close(self) -> None:
+        """Join the helper once it has hashed what it was fed. Safe to call twice."""
+        thread, self._thread = self._thread, None
+        if thread is not None:
+            self._todo.put(None)
+            thread.join()
+
+    def digest(self) -> bytes:
+        """The digest of everything fed; the helper is joined first."""
+        self.close()
+        if self._error is not None:
+            raise self._error
+        return self._sha.digest()
+
+
 def _keyed_header(head, size: int, key: KeyMaterial, parse) -> ContainerHeader:
     """``parse(head, size)`` of a container, refused unless it was sealed under ``key``."""
     if detect_format(head) is not SealedFormat.CONTAINER:
@@ -159,27 +236,31 @@ def _unseal_container(sealed, key: KeyMaterial, in_place: bool = False,
 
     The blob buffer is a fresh one from ``_secret_buffer``, or, ``in_place``,
     the payload of ``sealed`` itself, which its owner then gives up. Each
-    chunk polls ``cancelled`` and reports to ``on_chunk``; the digest is
-    checked last, and the buffer is wiped on any failure.
+    decrypted chunk goes to a ``_ChunkHasher``, then polls ``cancelled`` and
+    reports to ``on_chunk``; the digest is checked last. On any failure the
+    hasher is joined and then the buffer is wiped.
     """
     header = _keyed_header(sealed, len(sealed), key, decode)
     payload = memoryview(sealed)[len(sealed) - header.plaintext_len:]
     buf = payload if in_place else _secret_buffer(header.plaintext_len)
     view = memoryview(buf)
+    hasher = _ChunkHasher(header.chunk_count)
     try:
         for index, span in enumerate(chunk_slices(header.plaintext_len, header.chunk_size)):
             _decrypt_chunk(key, header.file_nonce, index, payload[span], view[span])
+            hasher.feed(view[span])
             if cancelled is not None and cancelled():
                 raise CancelledError("cancelled while decrypting")
             if on_chunk is not None:
                 on_chunk(UnsealProgress(index + 1, header.chunk_count, span.stop))
-        blob = ModelBlob(buf, CipherMode.CHUNKED_CTR)
-        if blob.digest != header.plaintext_digest:
+        digest = hasher.digest()
+        if digest != header.plaintext_digest:
             raise DigestError("decrypted plaintext does not match the container digest")
     except BaseException:
+        hasher.close()
         _wipe(buf)
         raise
-    return blob
+    return ModelBlob(buf, CipherMode.CHUNKED_CTR, digest)
 
 
 def unseal(sealed: bytes, key: KeyMaterial, declared_format: SealedFormat) -> ModelBlob:

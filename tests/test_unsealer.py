@@ -6,6 +6,7 @@ import mmap
 import os
 import random
 import struct
+import sys
 import threading
 import time
 import tracemalloc
@@ -473,14 +474,222 @@ CONTAINER_PATHS = {
 }
 
 
+def counting_hash_chunk(monkeypatch, fail_at=None, delay=0.0):
+    """Instrument _hash_chunk; returns (piece bytes, thread) per call, in call order.
+
+    Call number ``fail_at`` (from 0) raises instead of hashing; each call
+    first sleeps ``delay`` seconds.
+    """
+    calls = []
+    real = unsealer_mod._hash_chunk
+
+    def wrapper(sha, piece):
+        if delay:
+            time.sleep(delay)
+        if len(calls) == fail_at:
+            raise RuntimeError("hash bug")
+        calls.append((bytes(piece), threading.current_thread()))
+        return real(sha, piece)
+
+    monkeypatch.setattr(unsealer_mod, "_hash_chunk", wrapper)
+    return calls
+
+
+def hash_helpers():
+    return [t for t in threading.enumerate() if t.name == "mvc-hash"]
+
+
 class TestSingleHashPass:
     @pytest.mark.parametrize("path", sorted(CONTAINER_PATHS))
-    def test_plaintext_hashed_once(self, path, container_bytes, fips_key,
-                                   monkeypatch):
-        hashed = counting_sha256(monkeypatch)
+    def test_plaintext_hashed_once(self, path, fips_key, monkeypatch):
+        # Random bytes, so a piece hashed out of place or twice cannot
+        # match by accident (MODEL repeats every 256 bytes).
+        model = random.Random(28).randbytes(10240)
+        sealed, _ = seal(model, fips_key, chunk_size=4096)
+        whole = counting_sha256(monkeypatch)
+        calls = counting_hash_chunk(monkeypatch)
+        blob = CONTAINER_PATHS[path](sealed, fips_key)
+        pieces = [piece for piece, _ in calls]
+        assert whole == []
+        assert [len(p) for p in pieces] == [4096, 4096, 2048]
+        assert b"".join(pieces) == model  # contiguous, in order, each byte once
+        assert blob.digest == sha256(blob.data) == sha256(model)
+
+    def test_unseal_file_hashes_each_byte_once(self, fips_key, monkeypatch, tmp_path):
+        model = random.Random(29).randbytes(10240)
+        path = tmp_path / "model.bin"
+        path.write_bytes(seal(model, fips_key, chunk_size=4096)[0])
+        whole = counting_sha256(monkeypatch)
+        calls = counting_hash_chunk(monkeypatch)
+        blob = unseal_file(path, fips_key)
+        assert whole == []
+        assert b"".join(piece for piece, _ in calls) == model
+        assert blob.digest == sha256(model)
+        [helper] = {thread for _, thread in calls}
+        assert helper.name == "mvc-hash" and not helper.is_alive()
+
+
+def recording_buffers(monkeypatch):
+    """Record every plaintext buffer _secret_buffer hands the unsealer."""
+    buffers = []
+    real = unsealer_mod._secret_buffer
+
+    def wrapper(n):
+        buffers.append(real(n))
+        return buffers[-1]
+
+    monkeypatch.setattr(unsealer_mod, "_secret_buffer", wrapper)
+    return buffers
+
+
+def recording_wipes(monkeypatch):
+    """Record, for every wipe, whether a hash helper was still alive."""
+    helpers_alive = []
+    real = unsealer_mod._wipe
+
+    def wrapper(buf):
+        helpers_alive.append(bool(hash_helpers()))
+        return real(buf)
+
+    monkeypatch.setattr(unsealer_mod, "_wipe", wrapper)
+    return helpers_alive
+
+
+class TestHashHelper:
+    """One helper thread per unseal hashes the chunks; it never outlives the call."""
+
+    @pytest.mark.parametrize("path", sorted(CONTAINER_PATHS))
+    def test_one_helper_hashes_every_chunk_and_is_gone_after(self, path, container_bytes,
+                                                             fips_key, monkeypatch):
+        calls = counting_hash_chunk(monkeypatch)
         blob = CONTAINER_PATHS[path](container_bytes, fips_key)
-        assert hashed == [len(MODEL)]
-        assert blob.digest == sha256(blob.data) == sha256(MODEL)
+        assert blob.to_bytes() == MODEL
+        [helper] = {thread for _, thread in calls}
+        assert helper.name == "mvc-hash" and helper.daemon
+        assert not helper.is_alive() and hash_helpers() == []
+
+    def test_digest_failure_joins_the_helper_then_wipes(self, container_bytes, fips_key,
+                                                        monkeypatch):
+        mutated = bytearray(container_bytes)
+        mutated[-1] ^= 0x01
+        counting_hash_chunk(monkeypatch, delay=0.02)  # the helper lags the decrypts
+        buffers = recording_buffers(monkeypatch)
+        helpers_alive = recording_wipes(monkeypatch)
+        with pytest.raises(DigestError):
+            unseal(bytes(mutated), fips_key, SealedFormat.CONTAINER)
+        [buf] = buffers
+        assert helpers_alive == [False]
+        assert bytes(buf) == bytes(len(MODEL))
+        assert hash_helpers() == []
+
+    def test_concurrent_unseals_under_fast_switching(self, fips_key):
+        # More unsealing threads than CPUs, each with its own helper, and a
+        # GIL handed over every microsecond: every digest must still check.
+        model = random.Random(30).randbytes(65536)
+        sealed, _ = seal(model, fips_key, chunk_size=4096)  # 16 chunks
+        results = []
+
+        def unseal_many():
+            for _ in range(10):
+                blob = unseal(sealed, fips_key, SealedFormat.CONTAINER)
+                results.append(blob.to_bytes() == model)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [threading.Thread(target=unseal_many) for _ in range(6)]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(30)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(worker.is_alive() for worker in workers)
+        assert results == [True] * 60
+        assert hash_helpers() == []
+
+    def test_wrong_key_starts_no_helper(self, container_bytes, other_key, monkeypatch):
+        calls = counting_hash_chunk(monkeypatch)
+        with pytest.raises(KeyMismatchError):
+            unseal(container_bytes, other_key, SealedFormat.CONTAINER)
+        assert calls == [] and hash_helpers() == []
+
+    def test_background_cancel_joins_the_helper_then_wipes(self, fips_key, monkeypatch):
+        model = bytes(range(256)) * 160  # 10 chunks
+        sealed, _ = seal(model, fips_key, chunk_size=4096)
+        counting_decrypt(monkeypatch, delay=0.05)
+        counting_hash_chunk(monkeypatch, delay=0.02)
+        buffers = recording_buffers(monkeypatch)
+        helpers_alive = recording_wipes(monkeypatch)
+        sink = Collector()
+        handle = unseal_background(sealed, fips_key, on_progress=sink.on_progress,
+                                   on_done=sink.on_done)
+        deadline = time.time() + 5
+        while not sink.progress and time.time() < deadline:
+            time.sleep(0.01)
+        handle.cancel()
+        assert handle.wait(10)
+        assert handle.state() == "cancelled"
+        [buf] = buffers
+        assert helpers_alive == [False]
+        assert bytes(buf) == bytes(len(model))
+        assert hash_helpers() == []
+
+    def test_raising_progress_sink_joins_the_helper_then_wipes(self, container_bytes,
+                                                              fips_key, monkeypatch):
+        counting_hash_chunk(monkeypatch, delay=0.02)
+        buffers = recording_buffers(monkeypatch)
+        helpers_alive = recording_wipes(monkeypatch)
+        sink = Collector()
+
+        def explosive(event):
+            raise RuntimeError("progress bug")
+
+        handle = unseal_background(container_bytes, fips_key, on_progress=explosive,
+                                   on_done=sink.on_done)
+        assert handle.wait(10)
+        assert handle.state() == "failed"
+        [buf] = buffers
+        assert helpers_alive == [False]
+        assert bytes(buf) == bytes(len(MODEL))
+        assert hash_helpers() == []
+
+    def test_a_failing_hash_fails_the_unseal(self, container_bytes, fips_key, monkeypatch):
+        counting_hash_chunk(monkeypatch, fail_at=1)
+        buffers = recording_buffers(monkeypatch)
+        helpers_alive = recording_wipes(monkeypatch)
+        with pytest.raises(RuntimeError, match="hash bug"):
+            unseal(container_bytes, fips_key, SealedFormat.CONTAINER)
+        [buf] = buffers
+        assert helpers_alive == [False]
+        assert bytes(buf) == bytes(len(MODEL))
+        assert hash_helpers() == []
+
+    def test_one_chunk_and_raw_start_no_thread(self, fips_key, raw_bytes, monkeypatch,
+                                               tmp_path):
+        one_chunk, _ = seal(MODEL, fips_key)  # MODEL fits the default chunk
+        path = tmp_path / "model.bin.dat"
+        path.write_bytes(raw_bytes)
+
+        def no_thread(*args, **kwargs):
+            raise AssertionError("a thread was started")
+
+        monkeypatch.setattr(threading, "Thread", no_thread)
+        blobs = [unseal(one_chunk, fips_key, SealedFormat.CONTAINER),
+                 unseal_parallel(one_chunk, fips_key),
+                 unseal(raw_bytes, fips_key, SealedFormat.RAW_DAT),
+                 unseal_file(path, fips_key)]
+        assert all(blob.digest == sha256(MODEL) for blob in blobs)
+
+    def test_no_thread_to_start_hashes_inline(self, container_bytes, fips_key, monkeypatch):
+        def cannot_start(self):
+            raise RuntimeError("can't start new thread")
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start)
+        calls = counting_hash_chunk(monkeypatch)
+        blob = unseal(container_bytes, fips_key, SealedFormat.CONTAINER)
+        assert blob.to_bytes() == MODEL and blob.digest == sha256(MODEL)
+        assert {thread for _, thread in calls} == {threading.current_thread()}
 
 
 class TestReleaseInPlace:
