@@ -19,8 +19,8 @@ raw seal or unseal holds one copy of the plaintext, which ``_wipe`` zeroes;
 caller read the input into.
 
 ``_secret_buffer`` allocates a container's plaintext buffer; from one huge
-page on, it is a mapping of its own, populated in huge pages, so the first
-unseal in a process does not pay a page fault per 4 KiB.
+page on, it is a mapping of its own, advised to use huge pages, so the
+writes that fill it fault it in a huge page at a time, not per 4 KiB.
 """
 
 from __future__ import annotations
@@ -164,16 +164,13 @@ _ECB_ROOM = BLOCK_SIZE + _ECB_SLACK
 # x86-64's PMD page. A smaller buffer cannot get a huge page, and glibc's
 # reused heap block is cheaper than a fresh mapping for it.
 _HUGE_PAGE = 2 << 20
-# MADV_POPULATE_WRITE, Linux 5.14+; Python 3.11's mmap has no name for it.
-_MADV_POPULATE_WRITE = 23
 # tracemalloc domain of the mappings, so a snapshot can filter them.
 _TRACE_DOMAIN = 0x6D7663  # "mvc"
 
 try:
     # The default for fd -1 is MAP_SHARED, which is shmem and gets no huge pages.
     _MAP_FLAGS = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
-    # Each is best effort, in this order: ask for huge pages, then fault them in.
-    _ADVICE = (mmap.MADV_HUGEPAGE, _MADV_POPULATE_WRITE)
+    _MADV_HUGEPAGE = mmap.MADV_HUGEPAGE
     _trace_track = ctypes.pythonapi.PyTraceMalloc_Track
     _trace_untrack = ctypes.pythonapi.PyTraceMalloc_Untrack
 except AttributeError:  # not Linux, or no CPython C API
@@ -215,19 +212,18 @@ def _secret_buffer(n: int) -> bytearray | mmap.mmap:
 
     Under ``_HUGE_PAGE`` bytes, or off Linux, it is a ``bytearray``. From
     ``_HUGE_PAGE`` bytes on it is a mapping of its own, advised to use huge
-    pages and populated in one call; where the kernel refuses either advice
-    the first writes fault the pages in instead. Like a heap buffer, the mapping shows in
-    tracemalloc's counts (as numpy's data buffers do) and is freed, here
-    unmapped, when the last reference to it goes.
+    pages, best effort; the writes that fill it fault its pages in. Like a
+    heap buffer, the mapping shows in tracemalloc's counts (as numpy's data
+    buffers do) and is freed, here unmapped, when the last reference to it
+    goes.
     """
     if n < _HUGE_PAGE or _MAP_FLAGS is None:
         return bytearray(n)
     mapping = _mapping(n)
-    for advice in _ADVICE:
-        try:
-            mapping.madvise(advice)
-        except OSError:
-            pass
+    try:
+        mapping.madvise(_MADV_HUGEPAGE)
+    except OSError:
+        pass
     return mapping
 
 

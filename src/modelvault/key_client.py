@@ -49,6 +49,9 @@ _MAX_BODY_BYTES = 4096  # honest responses are ~40 bytes
 
 _DEFAULT_PORTS = {"http": 80, "https": 443}
 _STATUS_LINE = re.compile(rb"HTTP/1\.([0-9]) +([1-9][0-9]{2})(?: .*)?\r?\n", re.DOTALL)
+# A chunk's size line: 1*HEXDIG, capped at 16 digits, then any extension
+# (RFC 9112, section 7.1). int(x, 16) alone would take a sign, "0x" or "_".
+_CHUNK_SIZE = re.compile(rb"([0-9A-Fa-f]{1,16})(?:[ \t]*;.*)?\r?\n", re.DOTALL)
 # What a request target may not hold (RFC 9112, section 3.2).
 _BAD_TARGET = re.compile(r"[^\x21-\x7e]")
 
@@ -163,11 +166,10 @@ def _read_chunked(reader) -> tuple[bytes, bool]:
     """A chunked body, cut at one byte past the cap; and whether it was read whole."""
     body = b""
     while True:
-        line = reader.readline(MAX_LINE + 1)
-        try:
-            size = int(line.partition(b";")[0], 16)
-        except ValueError:
-            raise _ProtocolError("bad chunk size line") from None
+        match = _CHUNK_SIZE.fullmatch(reader.readline(MAX_LINE + 1))
+        if match is None:
+            raise _ProtocolError("bad chunk size line")
+        size = int(match[1], 16)
         if size == 0:
             break
         if len(body) + size > _MAX_BODY_BYTES:

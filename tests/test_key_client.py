@@ -39,9 +39,21 @@ def chunked(body: bytes, size: int = 7) -> bytes:
     return b"".join(b"%x\r\n%s\r\n" % (len(c), c) for c in chunks) + b"0\r\n\r\n"
 
 
+def first_chunk_sized(size_line: bytes) -> bytes:
+    """A chunked response of KEY_BODY whose first chunk, 16 bytes, has ``size_line``."""
+    return (b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n%s\r\n%s\r\n%s"
+            % (size_line, KEY_BODY[:16], chunked(KEY_BODY[16:])))
+
+
 # Responses written byte for byte, in shapes the key service never sends.
 RAW_REPLIES = {
     "/chunked": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n" + chunked(KEY_BODY),
+    "/chunk-extension": first_chunk_sized(b"10 ;name=value"),
+    # Sizes that int(x, 16) reads but RFC 9112's 1*HEXDIG does not allow.
+    "/chunk-size-minus": first_chunk_sized(b"-1"),
+    "/chunk-size-plus": first_chunk_sized(b"+10"),
+    "/chunk-size-0x": first_chunk_sized(b"0x10"),
+    "/chunk-size-underscore": first_chunk_sized(b"1_0"),
     "/chunked-huge": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
                      + chunked(b'{"key": "' + b"a" * 5000 + b'"}', size=1000),
     "/until-close": b"HTTP/1.0 200 OK\r\nContent-Type: application/json\r\n\r\n" + KEY_BODY,
@@ -288,6 +300,22 @@ class TestResponseShapes:
             assert fetch_key(f"{base}/chunked", "t").secret == derive_key(PASSPHRASE).secret
         assert server.hits == ["/chunked"] * 2
         assert len(server.opened) == 1
+
+    def test_chunk_extension_is_skipped(self, stub):
+        _, base = stub
+        assert fetch_key(f"{base}/chunk-extension", "t").secret == derive_key(PASSPHRASE).secret
+
+    @pytest.mark.parametrize("path", ["/chunk-size-minus", "/chunk-size-plus",
+                                      "/chunk-size-0x", "/chunk-size-underscore"])
+    def test_chunk_size_other_than_hex_digits_is_transport_error(self, kept_alive_stub, path):
+        # The server keeps the connection open, so a size read as -1, which
+        # reads to the end of the stream, would wait out the timeout.
+        _, base = kept_alive_stub
+        start = time.monotonic()
+        with pytest.raises(TransportError, match="bad chunk size line"):
+            fetch_key(f"{base}{path}", TOKEN_SENTINEL, timeout=5)
+        assert time.monotonic() - start < 2
+        assert key_client._idle is None
 
     def test_chunked_body_past_the_cap_is_format_error(self, kept_alive_stub):
         _, base = kept_alive_stub

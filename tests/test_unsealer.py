@@ -1209,8 +1209,8 @@ def _thp_mode() -> str:
         return "unavailable"
 
 
-def _anon_huge_kb(address: int) -> int:
-    """AnonHugePages of the mapping that holds ``address``, from /proc/self/smaps."""
+def _smaps_kb(address: int, name: str) -> int:
+    """Field ``name`` (say ``Rss``), in kB, of the mapping that holds ``address``."""
     inside = False
     with open("/proc/self/smaps") as smaps:
         for line in smaps:
@@ -1218,7 +1218,7 @@ def _anon_huge_kb(address: int) -> int:
             if "-" in first and not first.endswith(":"):
                 start, end = (int(bound, 16) for bound in first.split("-"))
                 inside = start <= address < end
-            elif inside and first == "AnonHugePages:":
+            elif inside and first == f"{name}:":
                 return int(line.split()[1])
     raise AssertionError(f"no mapping holds {address:#x}")
 
@@ -1282,8 +1282,8 @@ class TestLargeBlob:
         assert collected < n // 2
 
     def test_refused_advice_still_round_trips(self, large_sealed, monkeypatch):
-        # Advice values no kernel knows: every madvise call raises OSError.
-        monkeypatch.setattr(crypto_mod, "_ADVICE", (0x7FFF, 0x7FFE))
+        # An advice value no kernel knows: every madvise call raises OSError.
+        monkeypatch.setattr(crypto_mod, "_MADV_HUGEPAGE", 0x7FFF)
         with mmap.mmap(-1, mmap.PAGESIZE) as probe, pytest.raises(OSError):
             probe.madvise(0x7FFF)
         blob = unseal(large_sealed, FUZZ_KEY, SealedFormat.CONTAINER)
@@ -1300,4 +1300,13 @@ class TestLargeBlob:
                         reason="transparent huge pages are off or absent")
     def test_mapping_gets_huge_pages(self, large_sealed):
         blob = unseal(large_sealed, FUZZ_KEY, SealedFormat.CONTAINER)
-        assert _anon_huge_kb(blob.data.obj.address) > 0
+        assert _smaps_kb(blob.data.obj.address, "AnonHugePages") > 0
+
+    def test_mapping_is_faulted_in_by_its_writes(self):
+        # No page is resident until a write fills it, so an unseal faults
+        # the plaintext in chunk by chunk, not all at once up front.
+        n = 8 << 20
+        buf = crypto_mod._secret_buffer(n)
+        assert _smaps_kb(buf.address, "Rss") == 0
+        buf[:] = bytes([0xA5]) * n
+        assert _smaps_kb(buf.address, "Rss") == n >> 10
