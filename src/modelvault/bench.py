@@ -21,6 +21,7 @@ results can be compared across machines.
 from __future__ import annotations
 
 import contextlib
+import math
 import random
 import statistics
 import tempfile
@@ -43,6 +44,10 @@ DEFAULT_SIZES_MB = (2.5, 4.2, 11.3, 16.0, 17.5, 23.9)
 DEFAULT_REPS = 5
 DEFAULT_SEED = 42
 
+# The most bytes one randbytes call can draw, just under 256 MiB: it asks
+# getrandbits for 8 bits a byte, and that bit count must fit a C int.
+_MAX_SYNTHETIC_BYTES = (2**31 - 1) // 8
+
 _METRICS = ("encrypt_ms", "storage_ms", "total_seal_ms", "total_ms",
             "decrypt_ms")
 # The numeric columns of emit_table's rows, after the label.
@@ -50,16 +55,28 @@ _COLUMNS = ("size_mb", "encrypt_ms", "storage_ms", "total_ms", "decrypt_ms")
 
 
 def mb_to_bytes(size_mb: float) -> int:
-    """MiB to bytes, rounded to the nearest byte."""
-    if size_mb <= 0:
-        raise RangeError(f"size_mb must be positive, got {size_mb}")
+    """MiB to bytes, rounded to the nearest byte.
+
+    ``size_mb`` must be finite and positive. A synthetic model is drawn
+    in one piece, so the largest a bench can run is just under 256 MiB
+    (see :func:`generate_synthetic_model`).
+    """
+    if not (math.isfinite(size_mb) and size_mb > 0):
+        raise RangeError(f"size_mb must be finite and positive, got {size_mb}")
     return round(size_mb * MIB)
 
 
 def generate_synthetic_model(size_bytes: int, seed: int) -> bytes:
-    """Deterministic pseudo-random model blob of exactly ``size_bytes``."""
+    """Deterministic pseudo-random model blob of exactly ``size_bytes``.
+
+    A size that one ``randbytes`` call cannot draw is refused before
+    anything is allocated.
+    """
     if size_bytes < 0:
         raise RangeError(f"size_bytes must be non-negative, got {size_bytes}")
+    if size_bytes > _MAX_SYNTHETIC_BYTES:
+        raise RangeError(f"size_bytes must be at most {_MAX_SYNTHETIC_BYTES} "
+                         "(256 MiB less one byte), the most one randbytes call draws")
     return random.Random(seed).randbytes(size_bytes)
 
 

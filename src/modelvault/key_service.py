@@ -19,10 +19,11 @@ It speaks the part of HTTP/1.1 (RFC 9112) that the key flow needs. It
 reads a request line and header fields, at most 65 536 bytes a line and
 100 fields, and never a body. A request line past that bound gets 414,
 fields past it 431, a head that does not parse 400, and an HTTP version
-of 2 or above 505; each answer is a JSON ``{"error": ...}``, and the
-connection closes after it. Every reply leaves in one write, with
-``Date``, ``Content-Type`` and ``Content-Length``; a HEAD gets the head
-alone.
+of 2 or above 505; each answer is a JSON ``{"error": ...}`` holding its
+reason phrase in lower case, such as ``"uri too long"``, and the
+connection closes after it. A field sent twice is read as one value, the
+two joined by ", ". Every reply leaves in one write, with ``Date``,
+``Content-Type`` and ``Content-Length``; a HEAD gets the head alone.
 
 Connections are kept alive (HTTP/1.1), and each open connection holds one
 server thread until the client closes it, sends nothing for
@@ -30,7 +31,8 @@ server thread until the client closes it, sends nothing for
 request on a connection is authenticated on its own. An HTTP/1.0 request,
 one with ``Connection: close`` and one that declares a body get their
 answer, and then the connection closes, so a body is never read as the
-next request.
+next request. Two ``Content-Length`` fields, even a ``0`` and another,
+declare a body too.
 
 Each answered request logs one INFO record on the
 ``modelvault.key_service`` logger: the method, the path without its
@@ -68,10 +70,6 @@ _VERSION = re.compile(rb"HTTP/[0-9]\.[0-9]")
 _REASONS = {200: b"OK", 400: b"Bad Request", 401: b"Unauthorized", 404: b"Not Found",
             405: b"Method Not Allowed", 414: b"URI Too Long",
             431: b"Request Header Fields Too Large", 505: b"HTTP Version Not Supported"}
-# The answers to a request head that does not parse; each closes its connection.
-_HEAD_ERRORS = {400: {"error": "bad request"}, 414: {"error": "request line too long"},
-                431: {"error": "request header fields too large"},
-                505: {"error": "http version not supported"}}
 
 _log = logging.getLogger(__name__)
 
@@ -215,6 +213,15 @@ def _read_request(rfile) -> tuple[str, str, str | None, bool] | int | None:
     return method.decode("latin-1"), target, authorization, keep_alive
 
 
+def _date() -> bytes:
+    """Now as a ``Date`` value, an IMF-fixdate (RFC 9110, section 5.6.7).
+
+    asctime's names are English whatever the locale, unlike strftime's.
+    """
+    weekday, month, day, clock, year = time.asctime(time.gmtime()).split()
+    return f"{weekday}, {int(day):02d} {month} {year} {clock} GMT".encode()
+
+
 class _Handler(socketserver.StreamRequestHandler):
     timeout = 10.0  # idle seconds before a silent client is dropped, freeing its thread
     # A reply is small and leaves in one write; never hold it back for an ACK.
@@ -245,15 +252,15 @@ class _Handler(socketserver.StreamRequestHandler):
                 return  # a request read after stop() is not answered
             start = time.perf_counter()
             if isinstance(request, int):
-                method = path = "-"
-                status, body, keep_alive = request, _HEAD_ERRORS[request], False
+                method, path, status, keep_alive = "-", "-", request, False
+                body = {"error": _REASONS[status].decode().lower()}
             else:
                 method, path, authorization, keep_alive = request
                 status, body = handle_key_request(server.config, method, path, authorization)
             encoded = json.dumps(body).encode()
             reply = (b"HTTP/1.1 %d %s\r\nDate: %s\r\nContent-Type: application/json\r\n"
                      b"Content-Length: %d\r\n%s\r\n"
-                     % (status, _REASONS[status], server.date(), len(encoded),
+                     % (status, _REASONS[status], _date(), len(encoded),
                         b"" if keep_alive else b"Connection: close\r\n"))
             if method != "HEAD":
                 reply += encoded
@@ -287,17 +294,6 @@ class _Server(socketserver.ThreadingTCPServer):
         self.connections: set[socket.socket] = set()
         self.connections_lock = threading.Lock()
         self.closing = False
-        self._date = (0, b"")  # (second, its Date value), shared by the handlers
-
-    def date(self) -> bytes:
-        """This second's ``Date`` value (RFC 9110, section 5.6.7)."""
-        now = int(time.time())
-        second, value = self._date
-        if second != now:
-            weekday, month, day, clock, year = time.asctime(time.gmtime(now)).split()
-            value = f"{weekday}, {int(day):02d} {month} {year} {clock} GMT".encode()
-            self._date = (now, value)
-        return value
 
     def end_connections(self) -> None:
         """Answer no further request and drop every open connection."""

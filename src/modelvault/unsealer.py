@@ -368,17 +368,21 @@ def unseal_background(
     the final outcome arrive on the sinks, which are invoked from that
     thread. Every failure, including bad input, is delivered through
     on_done as ``on_done(None, error)``; nothing is raised here. On
-    success on_done receives ``(blob, None)``.
+    success on_done receives ``(blob, None)``. If that thread cannot be
+    started, the handle settles "failed" and on_done receives the
+    ``RuntimeError`` on the caller's thread before this returns.
 
     on_done runs before wait() returns, so a caller that waits sees its
     effects. It must therefore not wait() on its own handle.
     """
     handle = UnsealHandle()
 
-    def run() -> None:
+    def run(start_error: RuntimeError | None = None) -> None:
         blob: ModelBlob | None = None
         error: Exception | None = None
         try:
+            if start_error is not None:
+                raise start_error
             if handle._cancel_requested.is_set():
                 raise CancelledError("cancelled before decryption started")
             blob = _unseal_container(sealed, key, on_chunk=on_progress,
@@ -397,5 +401,8 @@ def unseal_background(
         finally:
             handle._done_event.set()
 
-    threading.Thread(target=run, name="mvc-unseal", daemon=True).start()
+    try:
+        threading.Thread(target=run, name="mvc-unseal", daemon=True).start()
+    except RuntimeError as exc:  # no thread to run on: settle here instead
+        run(exc)
     return handle

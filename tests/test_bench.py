@@ -5,6 +5,8 @@ independently computed least-squares result, so a regression in the fit
 or the table mathematics cannot slip through.
 """
 
+import math
+
 import pytest
 
 from modelvault.bench import (BenchRecord, DEFAULT_SIZES_MB, LinearFit,
@@ -51,6 +53,11 @@ class TestSizeMath:
         with pytest.raises(RangeError):
             mb_to_bytes(bad)
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_not_finite_rejected(self, bad):
+        with pytest.raises(RangeError, match="finite"):
+            mb_to_bytes(bad)
+
     def test_default_sizes(self):
         assert DEFAULT_SIZES_MB == (2.5, 4.2, 11.3, 16.0, 17.5, 23.9)
 
@@ -83,6 +90,11 @@ class TestSyntheticModels:
     def test_negative_size_rejected(self):
         with pytest.raises(RangeError):
             generate_synthetic_model(-1, seed=0)
+
+    def test_size_past_one_draw_rejected(self):
+        assert len(generate_synthetic_model(0, seed=0)) == 0
+        with pytest.raises(RangeError, match="268435455"):
+            generate_synthetic_model(256 * 1024 * 1024, seed=0)
 
 
 class TestBenchRecord:

@@ -654,6 +654,17 @@ class TestBenchCli:
         assert code == 1
         assert out == "" and "at least one size" in err
 
+    # inf and 1e300 overflowed round(), nan gave Python's own message, and
+    # 256 MiB is one byte more than a single randbytes call can draw.
+    @pytest.mark.parametrize("size", ["inf", "nan", "256", "1e300"])
+    def test_size_it_cannot_generate_rejected(self, capsys, tmp_path, size):
+        code, out, err = run(capsys, "bench", "--sizes", size, "--reps", "3",
+                             "--out-dir", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("mvc: error: size_") and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bad_reps_rejected(self, capsys):
         code, _, _ = run(capsys, "bench", "--sizes", "0.01", "--reps", "1")
         assert code == 1

@@ -62,6 +62,14 @@ RAW_REPLIES = {
     "/http2": b"HTTP/2.0 200 OK\r\nContent-Length: %d\r\n\r\n%s" % (len(KEY_BODY), KEY_BODY),
     "/many-headers": b"HTTP/1.0 200 OK\r\n" + b"X-Filler: 1\r\n" * 101
                      + b"Content-Length: %d\r\n\r\n%s" % (len(KEY_BODY), KEY_BODY),
+    # Framed by the first length, this is the key on a connection kept alive.
+    "/two-lengths": b"HTTP/1.1 200 OK\r\nContent-Length: %d\r\nContent-Length: 2\r\n\r\n%s"
+                    % (len(KEY_BODY), KEY_BODY),
+    "/length-minus": b"HTTP/1.1 200 OK\r\nContent-Length: -1\r\n\r\n" + KEY_BODY,
+    "/length-exponent": b"HTTP/1.1 200 OK\r\nContent-Length: 1e3\r\n\r\n" + KEY_BODY,
+    "/bad-trailer": b"HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n"
+                    + chunked(KEY_BODY)[:-2] + b"No colon here\r\n\r\n",
+    "/no-content": b"HTTP/1.1 204 No Content\r\n\r\n",
 }
 
 
@@ -202,9 +210,12 @@ class TestFetchKeyAgainstRealService:
         assert TOKEN_SENTINEL not in text
         assert PASSPHRASE not in text
 
-    def test_token_with_line_break_is_not_echoed(self, service):
-        with pytest.raises(TransportError) as exc_info:
-            fetch_key(service.url, TOKEN_SENTINEL + "\r\nX-Injected: 1")
+    @pytest.mark.parametrize("token", [TOKEN_SENTINEL + "\r\nX-Injected: 1",
+                                       TOKEN_SENTINEL + "\u20ac"],
+                             ids=["line-break", "not-latin-1"])
+    def test_token_with_line_break_is_not_echoed(self, service, token):
+        with pytest.raises(TransportError, match="key request is malformed") as exc_info:
+            fetch_key(service.url, token)
         assert TOKEN_SENTINEL not in str(exc_info.value) + repr(exc_info.value)
 
     def test_environment_proxy_is_not_used(self, service, stub, monkeypatch):
@@ -235,11 +246,12 @@ class TestFetchKeyResponseValidation:
             fetch_key(f"{base}/forbidden", "t")
         assert exc_info.value.status == 403
 
-    def test_unexpected_status_is_transport_error(self, stub):
+    @pytest.mark.parametrize("path,status", [("/teapot", 418), ("/no-content", 204)])
+    def test_unexpected_status_is_transport_error(self, stub, path, status):
         _, base = stub
         with pytest.raises(TransportError) as exc_info:
-            fetch_key(f"{base}/teapot", "t")
-        assert exc_info.value.status == 418
+            fetch_key(f"{base}{path}", "t")
+        assert exc_info.value.status == status
 
     def test_non_json_body(self, stub):
         _, base = stub
@@ -332,7 +344,8 @@ class TestResponseShapes:
         _, base = stub
         assert fetch_key(f"{base}/continue", "t").secret == derive_key(PASSPHRASE).secret
 
-    @pytest.mark.parametrize("path", ["/http2", "/many-headers"])
+    @pytest.mark.parametrize("path", ["/http2", "/many-headers", "/two-lengths",
+                                      "/length-minus", "/length-exponent", "/bad-trailer"])
     def test_head_it_cannot_read_is_transport_error(self, stub, path):
         _, base = stub
         with pytest.raises(TransportError, match="cannot reach key service"):
@@ -407,6 +420,7 @@ class TestFetchKeyTransport:
         ("http://127.0.0.1:port/v1/model-key", "invalid port"),
         ("http:///v1/model-key", "no host"),
         ("https://:8443/v1/model-key", "no host"),
+        ("http://keys.example/v1/model key", "holds a space"),
     ])
     def test_url_without_a_host_or_valid_port_rejected(self, url, message):
         with pytest.raises(TransportError, match=message):
@@ -420,6 +434,14 @@ class TestFetchKeyTransport:
     ])
     def test_url_split(self, url, origin, target):
         assert key_client._split_url(url) == (origin, target)
+
+    @pytest.mark.parametrize("url,host", [
+        ("http://[::1]:8080/k", b"[::1]:8080"),
+        ("https://b\u00fccher.example/k", b"xn--bcher-kva.example"),
+    ], ids=["ipv6-literal", "idna-name"])
+    def test_request_names_the_host(self, url, host):
+        request = key_client._request(*key_client._split_url(url), "t")
+        assert request.split(b"\r\n")[1] == b"Host: " + host
 
 
 class TestKeptAliveConnection:

@@ -296,8 +296,10 @@ class TestKeyServiceHttp:
             with exc:
                 return exc.code, json.loads(exc.read())
 
-    def test_end_to_end_success(self, service):
-        status, body = self.request(service.url, issue_token(SECRET, 60))
+    # A target that starts "//" is a path, not a host, so it is the key path.
+    @pytest.mark.parametrize("path", [KEY_PATH, "/" + KEY_PATH], ids=["key-path", "two-slashes"])
+    def test_end_to_end_success(self, service, path):
+        status, body = self.request(service.url.replace(KEY_PATH, path), issue_token(SECRET, 60))
         assert (status, body) == (200, {"key": PASSPHRASE})
 
     def test_unauthorized_is_json(self, service):
@@ -529,7 +531,9 @@ class TestRequestHead:
         _, headers, body = replies[0]
         assert headers["Content-Type"] == "application/json"
         assert headers["Connection"] == "close"
-        assert json.loads(body)["error"]
+        assert json.loads(body) == {"error": {
+            400: "bad request", 414: "uri too long", 431: "request header fields too large",
+            505: "http version not supported"}[status]}
         assert closed
 
     def test_100_headers_are_read(self, port):
@@ -538,13 +542,19 @@ class TestRequestHead:
         assert [reply[0] for reply in replies] == [200]
         assert not closed
 
-    def test_body_of_a_refused_post_is_never_a_request(self, port):
+    # The second head is a GET whose two lengths a proxy might read as one
+    # request: a body of the last length. The service reads "0, <length>".
+    @pytest.mark.parametrize("head,answer", [
+        (b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n",
+         (405, b'{"error": "method not allowed"}')),
+        (b"GET %s HTTP/1.1\r\nHost: x\r\nContent-Length: 0\r\nContent-Length: %d\r\n\r\n",
+         (401, b'{"error": "unauthorized"}')),
+    ], ids=["post", "get-with-two-lengths"])
+    def test_body_of_a_refused_post_is_never_a_request(self, port, head, answer):
         smuggled = self.get(issue_token(SECRET, 60))
-        data = (b"POST %s HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s"
-                % (KEY_PATH.encode(), len(smuggled), smuggled))
+        data = head % (KEY_PATH.encode(), len(smuggled)) + smuggled
         replies, closed = exchange(port, data)
-        assert [(status, body) for status, _, body in replies] == [
-            (405, b'{"error": "method not allowed"}')]
+        assert [(status, body) for status, _, body in replies] == [answer]
         assert replies[0][1]["Connection"] == "close"
         assert closed
 
@@ -582,6 +592,7 @@ class TestRequestHead:
                                        b"\xe9", b"\t"]),
                       max_size=40).map(b"".join))
     @example(data=b"GET /v1/model-key HTTP/1.1\r\nAuthorization: Bearer \xe9\r\n\r\n")
+    @example(data=b"GET /v1/model-key HTTP/1.1\r\nHost: x\r\n")  # ends before its blank line
     def test_any_bytes_give_a_request_a_status_or_a_close(self, data):
         head = _read_request(io.BytesIO(data))
         assert (head is None or head in (400, 414, 431, 505)

@@ -400,6 +400,25 @@ class TestUnsealBackground:
         assert isinstance(error, CancelledError) and "before decryption" in str(error)
         assert calls == [] and sink.progress == []
 
+    def test_runner_that_cannot_start_is_reported_via_on_done(self, container_bytes,
+                                                              fips_key, monkeypatch):
+        start = threading.Thread.start
+
+        def cannot_start_the_runner(thread):
+            if thread.name == "mvc-unseal":
+                raise RuntimeError("can't start new thread")
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", cannot_start_the_runner)
+        done = []
+        handle = unseal_background(container_bytes, fips_key, on_done=lambda *outcome:
+                                   done.append((*outcome, threading.current_thread())))
+        assert handle.wait(0)
+        assert handle.state() == "failed"
+        [(blob, error, thread)] = done
+        assert blob is None and isinstance(error, RuntimeError)
+        assert thread is threading.current_thread()
+
     def test_cancel_after_done_changes_nothing(self, container_bytes,
                                                fips_key):
         sink = Collector()
